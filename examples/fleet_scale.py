@@ -43,8 +43,7 @@ def main() -> None:
                         coordination="feeder"))
 
     shards = compile_shards(spec)
-    plan = "per-home fan-out" if shards is None else \
-        f"{len(shards)} shards x ~{shards[0].fleet.n_homes} homes"
+    plan = f"{len(shards)} shards x ~{shards[0].fleet.n_homes} homes"
     print(f"executing {homes} homes ({plan}) ...")
 
     started = time.perf_counter()

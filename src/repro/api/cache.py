@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,6 +48,16 @@ DEFAULT_MAX_BYTES = 512 * 1024 * 1024
 #: What ``run(spec, cache=...)`` accepts: nothing, a boolean toggle, or
 #: a concrete :class:`ResultCache`.
 CacheLike = Union[None, bool, "ResultCache"]
+
+
+def writer_tag() -> str:
+    """Temp-file tag unique to the writing thread: ``<pid>-<thread id>``.
+
+    Temp files named by pid alone collide when two threads of one
+    process publish the same file — one thread's rename can then
+    publish, or lose, the other's bytes.
+    """
+    return f"{os.getpid()}-{threading.get_ident()}"
 
 
 @dataclass(frozen=True)
@@ -165,9 +176,10 @@ class ResultCache:
     def _write_index(self, index: dict) -> None:
         """Publish the index atomically (temp file + ``os.replace``).
 
-        The temp name embeds the writer's pid: two processes sharing a
-        store (worker daemons + the artifact store is the norm now)
-        must never write the *same* temp file, or one writer's rename
+        The temp name embeds the writer's pid and thread
+        (:func:`writer_tag`): two writers sharing a store (worker
+        daemons, or threads of one process) must never write the *same*
+        temp file, or one writer's rename
         can publish the other's half-written bytes — silently dropping
         the LRU clocks and the ``#stats`` row.  Updates remain
         last-writer-wins (the index is advisory), but every published
@@ -176,7 +188,7 @@ class ResultCache:
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             tmp = self.index_path.with_name(
-                f"index.json.{os.getpid()}.tmp")
+                f"index.json.{writer_tag()}.tmp")
             tmp.write_text(json.dumps(index, indent=1, sort_keys=True))
             os.replace(tmp, self.index_path)
         except OSError:  # pragma: no cover - advisory metadata only
@@ -287,7 +299,7 @@ class ResultCache:
         """Store an arbitrary picklable ``payload`` under ``digest``.
 
         The digest-keyed twin of :meth:`put`: written atomically
-        (per-pid temp file + rename), LRU cap enforced, best-effort (an
+        (per-thread temp file + rename), LRU cap enforced, best-effort (an
         I/O failure returns ``None`` rather than failing the caller).
         ``name``/``kind`` label the index row for ``repro cache ls``.
         """
@@ -295,7 +307,7 @@ class ResultCache:
         key = self.key_of(digest, repro.__version__)
         path = self._object_path(key)
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        tmp = path.with_suffix(f".tmp{os.getpid()}")
+        tmp = path.with_suffix(f".tmp{writer_tag()}")
         try:
             self.objects_dir.mkdir(parents=True, exist_ok=True)
             tmp.write_bytes(blob)
@@ -454,7 +466,7 @@ class ResultCache:
         return sum(entry.size_bytes for entry in self.entries())
 
     def _sweep_stale_tmp(self, max_age_s: float = 300.0) -> None:
-        """Delete abandoned ``*.tmp<pid>`` files from interrupted puts.
+        """Delete abandoned ``*.tmp<writer>`` files from interrupted puts.
 
         Only files older than ``max_age_s`` go, so a concurrent writer's
         in-flight temp file is never pulled out from under its rename.

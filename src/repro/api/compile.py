@@ -253,10 +253,9 @@ def compile_shards(spec: ExperimentSpec, shard_size: Optional[int] = None,
     The fleet-scale lowering: :func:`compile_fleet` builds the full
     deterministic fleet, then :func:`repro.neighborhood.shard.plan_shards`
     cuts it into contiguous :class:`~repro.neighborhood.shard.ShardSpec`
-    work orders (``None`` when the fleet is small enough that the
-    per-home path wins).  Sharding is an execution strategy, not part of
-    the experiment: the spec hash — and every result bit — is identical
-    whatever this returns.
+    work orders (a small fleet is one shard).  Sharding is an execution
+    strategy, not part of the experiment: the spec hash — and every
+    result bit — is identical whatever this returns.
     """
     from repro.neighborhood.shard import plan_shards
     fleet = compile_fleet(spec)

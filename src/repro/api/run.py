@@ -185,10 +185,10 @@ def run(spec: ExperimentSpec, jobs: int = 1,
     stored result without executing anything; because runs are
     bit-deterministic, hits and fresh runs are indistinguishable.
 
-    ``shard_size`` tunes fleet-scale neighborhood execution (see
-    :mod:`repro.neighborhood.shard`): like ``jobs`` it is a pure
-    execution knob — large fleets auto-shard, ``0`` forces the per-home
-    path, and every setting produces bit-identical results.
+    ``shard_size`` sets the homes per shard of neighborhood and grid
+    execution (see :mod:`repro.neighborhood.shard`; ``None`` = auto,
+    else ``>= 1``): like ``jobs`` it is a pure execution knob, and every
+    setting produces bit-identical results.
 
     ``executor`` selects *where* the spec executes (:data:`EXECUTORS`):
     ``"local"`` runs in this process as always; ``"service"`` submits

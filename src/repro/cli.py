@@ -84,6 +84,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="override the 350 min horizon")
 
 
+def _execution_parent() -> argparse.ArgumentParser:
+    """``--jobs``/``--shard-size``, shared by every fleet-running command."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--jobs", type=int, default=1,
+                        help="worker processes (default: 1; must be >= 1)")
+    parent.add_argument("--shard-size", type=int, default=None,
+                        help="homes per execution shard (default: auto; "
+                             "must be >= 1; results are bit-identical "
+                             "for every value)")
+    return parent
+
+
 def _horizon(args: argparse.Namespace) -> Optional[float]:
     return args.horizon_min * MINUTE if args.horizon_min else None
 
@@ -94,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Collaborative HAN load management — ICDCS'22 "
                     "reproduction")
     sub = parser.add_subparsers(dest="command", required=True)
+    execution = _execution_parent()
 
     for figure in ("fig2a", "fig2b", "fig2c", "headline"):
         p = sub.add_parser(figure, help=f"regenerate {figure}")
@@ -143,12 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump.add_argument("--out", metavar="DIR", default="specs",
                         help="output directory (default: specs/)")
 
-    p = sub.add_parser("neighborhood",
+    p = sub.add_parser("neighborhood", parents=[execution],
                        help="N heterogeneous homes behind one feeder")
     p.add_argument("--homes", type=int, default=20)
     p.add_argument("--mix", choices=sorted(FLEET_MIXES), default="suburb")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the home fan-out")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--coordinate", nargs="?", const="feeder", default=None,
                    choices=("feeder", "online"), metavar="MODE",
@@ -168,11 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "forecaster (0 = exact predictions)")
     p.add_argument("--forecast-seed", type=int, default=1,
                    help="root seed of the forecast noise streams")
-    p.add_argument("--shard-size", type=int, default=None,
-                   help="homes per execution shard (default: auto — "
-                        "large fleets shard, small ones fan out "
-                        "per home; 0 forces the per-home path; results "
-                        "are bit-identical either way)")
     p.add_argument("--policy", choices=POLICIES, default="coordinated")
     p.add_argument("--fidelity", choices=FIDELITIES, default="round")
     p.add_argument("--horizon-min", type=float, default=None,
@@ -182,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--export-csv", metavar="PATH", default=None,
                    help="write feeder + per-home load columns as CSV")
 
-    p = sub.add_parser("grid",
+    p = sub.add_parser("grid", parents=[execution],
                        help="fleet of fleets: F feeders under one "
                             "substation")
     p.add_argument("--feeders", type=int, default=3,
@@ -190,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--homes", type=int, default=20,
                    help="homes per feeder")
     p.add_argument("--mix", choices=sorted(FLEET_MIXES), default="suburb")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the shard fan-out")
     p.add_argument("--seed", type=int, default=1,
                    help="grid root seed (feeder and home seeds derive "
                         "from it)")
@@ -201,9 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(per-feeder CP rounds), or substation (feeder "
                         "rounds plus feeder-envelope negotiation at the "
                         "substation)")
-    p.add_argument("--shard-size", type=int, default=None,
-                   help="homes per execution shard (default: auto; "
-                        "results are bit-identical either way)")
     p.add_argument("--policy", choices=POLICIES, default="coordinated")
     p.add_argument("--fidelity", choices=FIDELITIES, default="round")
     p.add_argument("--horizon-min", type=float, default=None,
@@ -218,12 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fault-injection runs (seeded chaos testing)")
     chaos_sub = p.add_subparsers(dest="chaos_command", required=True)
     p_chaos = chaos_sub.add_parser(
-        "run", help="run an online neighborhood under an injected fault "
-                    "schedule and report the degradation + invariants")
+        "run", parents=[execution],
+        help="run an online neighborhood under an injected fault "
+             "schedule and report the degradation + invariants")
     p_chaos.add_argument("--homes", type=int, default=12)
     p_chaos.add_argument("--mix", choices=sorted(FLEET_MIXES),
                          default="suburb")
-    p_chaos.add_argument("--jobs", type=int, default=1)
     p_chaos.add_argument("--seed", type=int, default=1,
                          help="fleet root seed (workloads)")
     p_chaos.add_argument("--fault-seed", type=int, default=0,
@@ -241,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("oracle", "persistence", "seasonal",
                                   "ewma"),
                          default="persistence")
-    p_chaos.add_argument("--shard-size", type=int, default=None)
     p_chaos.add_argument("--horizon-min", type=float, default=None,
                          help="override the 350 min horizon")
 
@@ -262,14 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="persisted hit/miss/byte counters")
     cache_sub.add_parser("clear", help="delete every cached result")
 
-    p = sub.add_parser("worker",
+    p = sub.add_parser("worker", parents=[execution],
                        help="run a service worker daemon (drain the "
                             "durable job queue)")
     p.add_argument("--store", metavar="DIR", default=None,
                    help="service store directory (default: "
                         "$REPRO_SERVICE_STORE or ~/.cache/repro-service)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="pool workers each leased job fans out over")
     p.add_argument("--max-jobs", type=int, default=None,
                    help="exit after finishing N jobs (default: run "
                         "forever)")
@@ -280,9 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lease-ttl", type=float, default=None,
                    metavar="SECONDS",
                    help="lease expiry between heartbeats (default: 30)")
-    p.add_argument("--shard-size", type=int, default=None,
-                   help="homes per execution shard for neighborhood "
-                        "jobs (default: auto)")
     p.add_argument("--worker-id", default=None,
                    help="worker identity in leases (default: host.pid)")
 
@@ -342,6 +337,14 @@ def _checked(factory, *factory_args, **factory_kwargs):
 def _check_jobs(jobs: int) -> None:
     if jobs < 1:
         raise _BadInput(f"jobs must be >= 1, got {jobs}")
+
+
+def _check_execution(args: argparse.Namespace) -> None:
+    """Reject out-of-range ``--jobs``/``--shard-size`` (exit 2)."""
+    _check_jobs(args.jobs)
+    if args.shard_size is not None and args.shard_size < 1:
+        raise _BadInput(
+            f"--shard-size must be >= 1, got {args.shard_size}")
 
 
 def _load_spec(path: str) -> ExperimentSpec:
@@ -534,7 +537,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.command == "spec":
         return _dispatch_spec(args)
     elif args.command == "neighborhood":
-        _check_jobs(args.jobs)
+        _check_execution(args)
         coordination = args.coordinate or "independent"
         forecast = ForecastPlan(forecaster=args.forecaster,
                                 noise=args.forecast_noise,
@@ -571,7 +574,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             path = neighborhood_to_csv(result, args.export_csv)
             print(f"series written to {path}")
     elif args.command == "grid":
-        _check_jobs(args.jobs)
+        _check_execution(args)
         if args.feeders < 1:
             raise _BadInput(f"feeders must be >= 1, got {args.feeders}")
         spec = ExperimentSpec(
@@ -674,7 +677,7 @@ def _dispatch_chaos(args: argparse.Namespace,
                     horizon: Optional[float]) -> int:
     """``repro chaos run``: an online fleet under an injected schedule."""
     from repro.faults import FaultPlan, last_injector
-    _check_jobs(args.jobs)
+    _check_execution(args)
     plan = _checked(FaultPlan, seed=args.fault_seed,
                     max_delay_epochs=args.max_delay_epochs,
                     **_parse_fault_rates(args.fault_rate))
@@ -758,7 +761,7 @@ def _dispatch_cache(args: argparse.Namespace) -> int:
 def _dispatch_worker(args: argparse.Namespace) -> int:
     """``repro worker``: one daemon draining the service job queue."""
     from repro.service.worker import WorkerDaemon
-    _check_jobs(args.jobs)
+    _check_execution(args)
     daemon = _checked(WorkerDaemon, args.store,
                       worker_id=args.worker_id, jobs=args.jobs,
                       shard_size=args.shard_size,

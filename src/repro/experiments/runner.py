@@ -90,6 +90,34 @@ def _execute_registry_entry(item: tuple) -> tuple:
         return ("err", exp_id, traceback.format_exc())
 
 
+def fan_out(worker: Callable[[object], tuple], items: Sequence[object],
+            jobs: int = 1, mp_context: Optional[str] = None,
+            pool: Optional[WorkerPool] = None) -> list[tuple]:
+    """Map a worker body over ``items``, results in input order.
+
+    ``worker`` must be module-level picklable and return the
+    ``("ok"|"err", name, payload)`` triples the built-in bodies use
+    (failures as data — tracebacks always survive pickling).  ``jobs=1``
+    (or a single item) runs in-process; otherwise the items go to
+    ``pool``, or the persistent :func:`~repro.experiments.pool.shared_pool`
+    of that shape.  The triples come back **raw**: callers whose ok
+    payloads own external resources (the fleet shard executor's
+    shared-memory frames, :mod:`repro.neighborhood.shard`) must be able
+    to reclaim them before surfacing an error triple as
+    :class:`WorkerFailure`.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    items = list(items)
+    if not items:
+        return []
+    if jobs == 1 or len(items) == 1:
+        return [worker(item) for item in items]
+    if pool is None:
+        pool = shared_pool(jobs, mp_context)
+    return pool.map(worker, items)
+
+
 class ParallelRunner:
     """Order-preserving fan-out of independent runs over worker processes.
 
@@ -127,38 +155,16 @@ class ParallelRunner:
 
     def execute(self, worker: Callable[[object], tuple],
                 items: Sequence[object]) -> list[tuple]:
-        """Fan a custom worker body over the pool, runner-style.
-
-        ``worker`` must be module-level picklable and return the
-        ``("ok"|"err", name, payload)`` triples the built-in bodies use
-        (failures as data — tracebacks always survive pickling).  Unlike
-        :meth:`run`, the triples come back **raw**: callers whose ok
-        payloads own external resources (the fleet shard executor's
-        shared-memory frames, :mod:`repro.neighborhood.shard`) must be
-        able to reclaim them before surfacing an error triple as
-        :class:`WorkerFailure`.
-        """
-        items = list(items)
-        if not items:
-            return []
-        if self.jobs == 1 or len(items) == 1:
-            return [worker(item) for item in items]
-        pool = self._pool if self._pool is not None \
-            else shared_pool(self.jobs, self._mp_context)
-        return pool.map(worker, items)
+        """:func:`fan_out` over this runner's jobs and pool: the triples
+        come back raw, unlike :meth:`run`."""
+        return fan_out(worker, items, self.jobs, self._mp_context,
+                       self._pool)
 
     def _map(self, worker: Callable[[object], tuple],
              items: list) -> list:
-        if not items:
-            return []
-        if self.jobs == 1 or len(items) == 1:
-            outcomes = [worker(item) for item in items]
-        else:
-            pool = self._pool if self._pool is not None \
-                else shared_pool(self.jobs, self._mp_context)
-            outcomes = pool.map(worker, items)
         results = []
-        for status, name, payload in outcomes:
+        for status, name, payload in fan_out(worker, items, self.jobs,
+                                             self._mp_context, self._pool):
             if status == "err":
                 raise WorkerFailure(name, payload)
             results.append(payload)

@@ -4,14 +4,15 @@ Eight modules, one pipeline (see ``docs/architecture.md``):
 
 * :mod:`~repro.neighborhood.fleet` — deterministic heterogeneous fleet
   construction (:func:`build_fleet`);
-* :mod:`~repro.neighborhood.federation` — the parallel fan-out and result
-  packaging (:func:`run_neighborhood`);
-* :mod:`~repro.neighborhood.shard` — fleet-scale execution: per-shard
-  sub-specs, worker-local pre-reduction (:func:`plan_shards`);
+* :mod:`~repro.neighborhood.federation` — fleet execution and result
+  packaging (:func:`execute_fleet`);
+* :mod:`~repro.neighborhood.shard` — the one fleet execution path:
+  per-shard sub-specs, worker-local pre-reduction (:func:`plan_shards`);
 * :mod:`~repro.neighborhood.transport` — batched shared-memory series
   frames between workers and the parent;
-* :mod:`~repro.neighborhood.coordination` — the feeder-level
-  collaboration plane (:func:`coordinate_fleet`, ``docs/coordination.md``);
+* :mod:`~repro.neighborhood.coordination` — the coordination core every
+  tier runs (:func:`coordinate_profiles`, :func:`coordinate_fleet`,
+  ``docs/coordination.md``);
 * :mod:`~repro.neighborhood.aggregate` — exact feeder summation and
   feeder statistics (:func:`feeder_stats`);
 * :mod:`~repro.neighborhood.grid` — fleet of fleets: multi-feeder grids
@@ -37,6 +38,7 @@ from repro.neighborhood.coordination import (
     FeederPlane,
     HomeItem,
     coordinate_fleet,
+    coordinate_profiles,
     negotiate_offsets,
     phase_envelope,
     phase_envelope_window,
@@ -62,7 +64,6 @@ from repro.neighborhood.grid import (
     GridResult,
     GridSpec,
     build_grid,
-    coordinate_profiles,
     execute_grid,
     feeder_seed,
 )

@@ -43,13 +43,20 @@ plan against the realized profiles and falls back to zero offsets
 (``applied=False``) if staggering would not strictly lower the realized
 coincident peak.  The feeder plane is advisory — it never regresses the
 feeder it coordinates.
+
+One core serves every tier: :func:`coordinate_profiles` runs
+negotiate → rotate → sum → guard over any list of profiles — a fleet's
+homes (:func:`coordinate_fleet`) or a grid's feeders (the substation
+tier) — and each epoch of the online loop
+(:func:`repro.neighborhood.online.coordinate_fleet_online`) applies its
+plan through the same rotate-and-guard step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -59,7 +66,7 @@ from repro.sim.monitor import StepSeries
 from repro.st.rounds import CpStats
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.neighborhood.fleet import FleetSpec
+    from repro.neighborhood.fleet import FleetSpec, HomeSpec
 
 #: serialized footprint of a HomeItem header on the wire, bytes
 HOME_ITEM_HEADER_BYTES: int = 10
@@ -180,66 +187,15 @@ def snap_bin(horizon: float, bin_s: float) -> float:
     n_bins = max(int(round(horizon / bin_s)), 1)
     return horizon / n_bins
 
-def _segment_table(series: StepSeries, horizon: float,
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(starts, ends, values)`` arrays partitioning ``[0, horizon)``.
-
-    The vectorized twin of :meth:`~repro.sim.monitor.StepSeries.segments`
-    (same boundaries, same values, no arithmetic) — rotation and
-    envelopes must agree with the statistics' decomposition bit for bit.
-    """
-    times, values = series._data()
-    lo = int(np.searchsorted(times, 0.0, side="right"))
-    hi = int(np.searchsorted(times, horizon, side="left"))
-    starts = np.empty(hi - lo + 1, dtype=float)
-    starts[0] = 0.0
-    starts[1:] = times[lo:hi]
-    ends = np.empty(hi - lo + 1, dtype=float)
-    ends[:-1] = times[lo:hi]
-    ends[-1] = horizon
-    seg_values = np.empty(hi - lo + 1, dtype=float)
-    seg_values[0] = values[lo - 1] if lo > 0 else 0.0
-    seg_values[1:] = values[lo:hi]
-    return starts, ends, seg_values
-
-
-def phase_envelope(series: StepSeries, horizon: float,
-                   bin_s: float) -> tuple[float, ...]:
-    """Per-bin upper bound of ``series`` on a regular grid over the window.
-
-    Bin ``b`` covers ``[b * bin_s, (b + 1) * bin_s)``; its envelope value
-    is the *maximum* signal value attained inside, so summed envelopes
-    upper-bound the summed signals — the property the feeder plane's
-    claim objective relies on.  One vectorized slice-max per constant
-    segment (not one Python comparison per bin), same floats as the
-    scalar loop it replaced.
-    """
-    # The tiny slack keeps exact divisions (the usual case — see
-    # coordinate_fleet's bin snapping) from spilling into an extra bin
-    # through float rounding.
-    bins = int(math.ceil(horizon / bin_s - 1e-9))
-    envelope = np.zeros(bins, dtype=float)
-    starts, ends, values = _segment_table(series, horizon)
-    for start, end, value in zip(starts.tolist(), ends.tolist(),
-                                 values.tolist()):
-        if value <= 0.0:
-            continue
-        first = int(start // bin_s)
-        last = min(int(math.ceil(end / bin_s)), bins)
-        if first < last:
-            np.maximum(envelope[first:last], value,
-                       out=envelope[first:last])
-    return tuple(envelope.tolist())
-
 
 def _window_segment_table(series: StepSeries, start: float, end: float,
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(starts, ends, values)`` arrays partitioning ``[start, end)``.
 
-    The windowed twin of :func:`_segment_table`: same boundaries, same
-    values, no arithmetic on either — the online loop's per-epoch
-    envelopes and rotations must agree with the statistics'
-    decomposition bit for bit.
+    The vectorized twin of :meth:`~repro.sim.monitor.StepSeries.segments`
+    (same boundaries, same values, no arithmetic on either) — envelopes
+    and rotations must agree with the statistics' decomposition bit for
+    bit.
     """
     times, values = series._data()
     lo = int(np.searchsorted(times, start, side="right"))
@@ -256,20 +212,33 @@ def _window_segment_table(series: StepSeries, start: float, end: float,
     return starts, ends, seg_values
 
 
+def phase_envelope(series: StepSeries, horizon: float,
+                   bin_s: float) -> tuple[float, ...]:
+    """Per-bin upper bound of ``series`` over ``[0, horizon)``: the
+    :func:`phase_envelope_window` starting at 0."""
+    return phase_envelope_window(series, 0.0, horizon, bin_s)
+
+
 def phase_envelope_window(series: StepSeries, start: float, end: float,
                           bin_s: float,
                           bins: Optional[int] = None,
                           ) -> tuple[float, ...]:
     """Per-bin upper bound of ``series`` over the window ``[start, end)``.
 
-    The windowed form of :func:`phase_envelope`: bin ``b`` covers
-    ``[start + b·bin_s, start + (b+1)·bin_s)``.  ``bins`` pins the
-    envelope length explicitly — the online loop passes the per-epoch
-    bin count so every epoch's envelope (including a last epoch whose
-    span differs by one float ulp) has the same shape and the claim
-    plane can roll them against each other.
+    Bin ``b`` covers ``[start + b·bin_s, start + (b+1)·bin_s)``; its
+    envelope value is the *maximum* signal value attained inside, so
+    summed envelopes upper-bound the summed signals — the property the
+    claim objective relies on.  One vectorized slice-max per constant
+    segment, not one Python comparison per bin.
+
+    ``bins`` pins the envelope length explicitly — the online loop
+    passes the per-epoch bin count so every epoch's envelope (including
+    a last epoch whose span differs by one float ulp) has the same shape
+    and the claim plane can roll them against each other.
     """
     if bins is None:
+        # The tiny slack keeps exact divisions (the usual case — see
+        # snap_bin) from spilling into an extra bin through rounding.
         bins = int(math.ceil((end - start) / bin_s - 1e-9))
     envelope = np.zeros(bins, dtype=float)
     starts, ends, values = _window_segment_table(series, start, end)
@@ -289,15 +258,19 @@ def rotate_window(series: StepSeries, offset: float, start: float,
                   end: float, name: Optional[str] = None) -> StepSeries:
     """Cyclically delay the ``[start, end)`` window of ``series``.
 
-    The windowed form of :func:`rotate_series`: returns a step series
-    defined on ``[start, end)`` only — beginning with a record exactly
-    at ``start`` — holding ``s(start + ((t − start − offset) mod span))``
-    with ``span = end − start``.  Segment durations and values are
-    permuted, never changed, so the window's energy, time-weighted
-    distribution and peak are preserved exactly; with ``offset == 0``
-    the window's own records come back untouched (no float round-trip),
-    which is what lets declined epochs stitch bit-identical realized
-    windows.
+    Returns a step series defined on ``[start, end)`` only — beginning
+    with a record exactly at ``start`` — holding
+    ``s(start + ((t − start − offset) mod span))`` with
+    ``span = end − start``: the window started ``offset`` later, with
+    the displaced tail wrapping to the front (the steady-state reading
+    of a phase shift).  Segment durations and values are permuted,
+    never changed, so the window's energy, time-weighted distribution
+    and peak are preserved exactly; with ``offset == 0`` the window's
+    own records come back untouched (no float round-trip), which is
+    what lets declined plans keep bit-identical realized profiles.
+
+    Vectorized (segment shift, lexsort, record-semantics dedup via
+    :func:`repro.neighborhood.aggregate.dedup_records`).
 
     Caller contract (which epoch grids satisfy by construction): the
     computed ``span`` must be the *exact* real difference ``end − start``
@@ -326,36 +299,9 @@ def rotate_window(series: StepSeries, offset: float, start: float,
 
 def rotate_series(series: StepSeries, offset: float, horizon: float,
                   name: Optional[str] = None) -> StepSeries:
-    """Cyclically delay ``series`` by ``offset`` within ``[0, horizon)``.
-
-    Returns the step series ``r(t) = s((t − offset) mod horizon)``: the
-    home's day, started ``offset`` later, with the displaced tail wrapping
-    to the front (the steady-state reading of a phase shift).  Rotation
-    permutes the constant segments without changing their durations or
-    values, so the integral (energy), the time-weighted distribution and
-    the peak over ``[0, horizon)`` are all preserved.
-
-    Vectorized (segment shift, lexsort, record-semantics dedup via
-    :func:`repro.neighborhood.aggregate.dedup_records`) and bit-identical
-    to the scalar record loop it replaced.
-    """
-    from repro.neighborhood.aggregate import dedup_records
-    out_name = name if name is not None else series.name
-    offset = offset % horizon
-    starts, ends, values = _segment_table(series, horizon)
-    if offset == 0.0:
-        times, kept = dedup_records(starts, values)
-        return StepSeries.from_arrays(out_name, times, kept)
-    new_starts = starts + offset
-    wrapped = new_starts >= horizon
-    split = ~wrapped & (ends + offset > horizon)
-    entry_times = np.concatenate([
-        np.where(wrapped, new_starts - horizon, new_starts),
-        np.zeros(int(split.sum()), dtype=float)])
-    entry_values = np.concatenate([values, values[split]])
-    order = np.lexsort((entry_values, entry_times))
-    times, kept = dedup_records(entry_times[order], entry_values[order])
-    return StepSeries.from_arrays(out_name, times, kept)
+    """Cyclically delay ``series`` by ``offset`` within ``[0, horizon)``:
+    the :func:`rotate_window` starting at 0."""
+    return rotate_window(series, offset, 0.0, horizon, name)
 
 
 # ---------------------------------------------------------------------------
@@ -365,20 +311,20 @@ def rotate_series(series: StepSeries, offset: float, horizon: float,
 class FeederPlane:
     """The feeder-level claim plane, one gateway per home.
 
-    Claims are made one by one — the gateway whose ``home_id`` matches
-    the round index (round-robin token) re-claims its phase offset
-    against the envelopes everyone else published, mirroring the paper's
-    one-by-one admission order.  A claim is only moved when it *strictly*
-    lowers the projected feeder peak, so the negotiation is a descent on
-    a finite lattice and always converges.
+    Claims are made one by one — each claim round hands one gateway the
+    token to re-claim its phase offset against the envelopes everyone
+    else published, mirroring the paper's one-by-one admission order.
+    A claim is only moved when it *strictly* lowers the projected feeder
+    peak, so the negotiation is a descent on a finite lattice and always
+    converges.
 
     The rounds used to be driven through
     :class:`~repro.st.rounds.IdealCP` with every gateway re-sharing its
     full :class:`HomeItem` every round; at fleet scale (N≥500) that
     all-to-all merge was O(N³) per sweep and dominated the whole run.
     Because IdealCP delivery is loss-free, every gateway's merged view is
-    simply "each home's latest claim", so :meth:`run_round` now evolves
-    that shared state directly — same claim sequence bit for bit (the
+    simply "each home's latest claim", so :meth:`reclaim` evolves that
+    shared state directly — same claim sequence bit for bit (the
     per-home rolled envelopes are cached and re-summed in home order at
     every claim, never incrementally updated, so no float drift) — and
     :func:`negotiate_offsets` accounts the identical
@@ -407,7 +353,6 @@ class FeederPlane:
         self._rolled = {home: np.roll(self._envelopes[home],
                                       self.claims[home])
                         for home in self.home_ids}
-        self.sweep_changed = False
 
     def update_envelope(self, node: int,
                         envelope: tuple[float, ...]) -> None:
@@ -428,17 +373,17 @@ class FeederPlane:
                         envelope=tuple(envelope),
                         peak_w=float(envelope.max(initial=0.0)))
 
-    def run_round(self, round_index: int) -> None:
-        """One feeder round: the round-robin token holder re-claims."""
-        self.reclaim(self.home_ids[round_index % len(self.home_ids)])
+    def reclaim(self, token: int) -> bool:
+        """Give ``token`` the claim round: re-pick its phase offset.
 
-    def reclaim(self, token: int) -> None:
-        """Give ``token`` the claim round: re-pick its phase offset."""
+        Returns whether the claim moved.
+        """
         best = self._best_shift(token)
-        if best != self.claims[token]:
-            self.claims[token] = best
-            self._rolled[token] = np.roll(self._envelopes[token], best)
-            self.sweep_changed = True
+        if best == self.claims[token]:
+            return False
+        self.claims[token] = best
+        self._rolled[token] = np.roll(self._envelopes[token], best)
+        return True
 
     # -- the claim rule ----------------------------------------------------------
 
@@ -473,38 +418,44 @@ class FeederPlane:
         return candidates[0]
 
 
+def _claim_sweeps(plane: FeederPlane, tokens: Sequence[int],
+                  deliveries: int, config: FeederConfig,
+                  ) -> tuple[dict[int, int], CpStats, int]:
+    """The claim loop: sweep ``tokens`` (one claim round each) until a
+    full sweep moves no claim or :attr:`FeederConfig.max_sweeps` is
+    reached.  Every round is active and delivers ``deliveries`` items."""
+    stats = CpStats()
+    sweeps = 0
+    for _sweep in range(config.max_sweeps):
+        moved = False
+        for token in tokens:
+            stats.rounds_total += 1
+            stats.rounds_active += 1
+            stats.deliveries += deliveries
+            moved = plane.reclaim(token) or moved
+        sweeps += 1
+        if not moved:
+            break
+    return dict(plane.claims), stats, sweeps
+
+
 def negotiate_offsets(home_ids: Sequence[int],
                       envelopes: dict[int, tuple[float, ...]],
                       shifts: int,
                       config: FeederConfig,
                       ) -> tuple[dict[int, int], CpStats, int]:
-    """Run feeder claim rounds until the claims converge.
+    """Run feeder claim rounds from zero claims until they converge.
 
-    One claim token per round (n rounds to a sweep), until a full sweep
-    moves no claim or :attr:`FeederConfig.max_sweeps` is reached.
-    Returns the claimed shifts (bins) per home, the CP round statistics
-    — identical to what driving the plane through
-    :class:`~repro.st.rounds.IdealCP` produced (every round is active,
-    all n items reach all n gateways) — and the number of sweeps run.
+    Every gateway holds the token once per sweep, in ``home_ids`` order
+    (n rounds to a sweep).  Returns the claimed shifts (bins) per home,
+    the CP round statistics — identical to what driving the plane
+    through :class:`~repro.st.rounds.IdealCP` produced (every round is
+    active, all n items reach all n gateways) — and the number of
+    sweeps run.
     """
     plane = FeederPlane(home_ids, envelopes, shifts)
     n = len(plane.home_ids)
-    stats = CpStats()
-    round_index = 0
-    sweeps = 0
-    for _sweep in range(config.max_sweeps):
-        plane.sweep_changed = False
-        # Rounds sweep*n .. sweep*n + n − 1, one token claim each.
-        for _round in range(n):
-            stats.rounds_total += 1
-            stats.rounds_active += 1
-            stats.deliveries += n * n
-            plane.run_round(round_index)
-            round_index += 1
-        sweeps += 1
-        if not plane.sweep_changed:
-            break
-    return dict(plane.claims), stats, sweeps
+    return _claim_sweeps(plane, plane.home_ids, n * n, config)
 
 
 def renegotiate_offsets(plane: FeederPlane, changed: Sequence[int],
@@ -527,29 +478,121 @@ def renegotiate_offsets(plane: FeederPlane, changed: Sequence[int],
     deliveries), not the all-to-all re-share of a cold negotiation.
     Returns ``(claims, stats, sweeps)`` like :func:`negotiate_offsets`.
     """
-    n = len(plane.home_ids)
-    stats = CpStats()
     changed_set = set(changed)
     order = [home for home in plane.home_ids if home in changed_set]
-    sweeps = 0
     if not order:
-        return dict(plane.claims), stats, sweeps
-    for _sweep in range(config.max_sweeps):
-        plane.sweep_changed = False
-        for token in order:
-            stats.rounds_total += 1
-            stats.rounds_active += 1
-            stats.deliveries += n
-            plane.reclaim(token)
-        sweeps += 1
-        if not plane.sweep_changed:
-            break
-    return dict(plane.claims), stats, sweeps
+        return dict(plane.claims), CpStats(), 0
+    return _claim_sweeps(plane, order, len(plane.home_ids), config)
 
 
 # ---------------------------------------------------------------------------
-# putting it together
+# the guarded-apply core
 # ---------------------------------------------------------------------------
+
+def _default_epoch(config: FeederConfig, homes: Iterable["HomeSpec"],
+                   ) -> float:
+    """The phase period: ``config.epoch``, else the largest ``maxDCP``
+    of ``homes`` — the recurrence period of the bursts being staggered."""
+    if config.epoch is not None:
+        return config.epoch
+    return max(home.scenario.max_dcp for home in homes)
+
+
+def _guarded_rotate(profiles: Sequence[StepSeries],
+                    offsets: Sequence[float], start: float, end: float,
+                    baseline: StepSeries, guard: bool,
+                    name: str = "feeder",
+                    ) -> tuple[list[StepSeries], StepSeries, bool]:
+    """Apply one plan to the ``[start, end)`` window, under the guard.
+
+    Rotates each profile's window by its offset and sums the result.
+    The plan is kept only when some offset is non-zero and — with
+    ``guard`` on — the realized peak of the sum strictly beats
+    ``baseline``'s peak over the window; otherwise every window comes
+    back un-rotated and the sum is ``baseline`` itself.  Returns
+    ``(rotated windows, their sum, applied)``.  Both the full-horizon
+    plans and every online epoch go through here, so neither can raise
+    the peak it coordinates.
+    """
+    rotated = [rotate_window(profile, offset, start, end)
+               for profile, offset in zip(profiles, offsets)]
+    coordinated = sum_series(rotated, name=name)
+    applied = any(offset != 0.0 for offset in offsets)
+    if applied and guard and coordinated.maximum(start, end) \
+            >= baseline.maximum(start, end) - 1e-9:
+        applied = False
+    if not applied:
+        rotated = [rotate_window(profile, 0.0, start, end)
+                   for profile in profiles]
+        coordinated = baseline
+    return rotated, coordinated, applied
+
+
+def _coordinate(profiles: Sequence[StepSeries], horizon: float,
+                config: FeederConfig, epoch: float, name: str,
+                envelopes: Optional[Sequence[tuple[float, ...]]] = None,
+                baseline: Optional[StepSeries] = None,
+                ) -> FeederCoordination:
+    """negotiate → rotate → sum → guard over whole-horizon profiles.
+
+    ``envelopes`` (per profile, at :func:`snap_bin`'s width) and
+    ``baseline`` (the profiles' sum) may come precomputed; both are pure
+    functions of ``profiles``, so passing them never changes a bit.
+    """
+    if not profiles:
+        raise ValueError("need at least one profile to coordinate")
+    epoch = min(epoch, horizon)
+    bin_s = snap_bin(horizon, config.bin_s)
+    shifts = max(int(epoch / bin_s + 1e-9), 1)
+    ids = list(range(len(profiles)))
+    if envelopes is None:
+        envelopes = [phase_envelope(profile, horizon, bin_s)
+                     for profile in profiles]
+    claims, cp_stats, sweeps = negotiate_offsets(
+        ids, dict(zip(ids, envelopes)), shifts, config)
+    planned = tuple(claims[index] * bin_s for index in ids)
+    if baseline is None:
+        baseline = sum_series(list(profiles), name=name)
+    rotated, coordinated, applied = _guarded_rotate(
+        profiles, planned, 0.0, horizon, baseline, config.guard, name)
+    return FeederCoordination(
+        epoch=epoch, bin_s=bin_s,
+        planned_offsets_s=planned,
+        offsets_s=planned if applied else tuple(0.0 for _ in planned),
+        applied=applied, sweeps=sweeps, cp_stats=cp_stats,
+        contributions_w=rotated, independent_w=baseline,
+        coordinated_w=coordinated)
+
+
+def coordinate_profiles(profiles: Sequence[StepSeries], horizon: float,
+                        config: Optional[FeederConfig] = None,
+                        epoch: Optional[float] = None,
+                        name: str = "substation") -> FeederCoordination:
+    """Negotiate and apply phase offsets between load profiles.
+
+    The one coordination core every full-horizon tier runs: each
+    profile is compressed to its :func:`phase_envelope`, round-robin
+    claim rounds (:func:`negotiate_offsets`) pick per-profile offsets,
+    and offsets apply as :func:`rotate_series` — conserving each
+    profile's energy and individual peak exactly.  The
+    realized-improvement guard re-checks the rotated sum against the
+    un-rotated baseline and declines (zero offsets, ``applied=False``)
+    unless the realized aggregate peak strictly improves.
+    :func:`coordinate_fleet` is this core over a fleet's homes; the grid's
+    substation tier runs it over feeder profiles.
+
+    ``epoch`` (default ``config.epoch``, else the horizon) bounds the
+    offsets.  In the returned :class:`FeederCoordination`,
+    ``independent_w`` is the *pre-negotiation baseline* — the plain sum
+    of the incoming profiles (which may themselves already be
+    coordinated).
+    """
+    if config is None:
+        config = FeederConfig()
+    if epoch is None:
+        epoch = config.epoch if config.epoch is not None else horizon
+    return _coordinate(profiles, horizon, config, epoch, name)
+
 
 def coordinate_fleet(fleet: "FleetSpec", results: Sequence[RunResult],
                      horizon: float,
@@ -560,23 +603,19 @@ def coordinate_fleet(fleet: "FleetSpec", results: Sequence[RunResult],
                      ) -> FeederCoordination:
     """Negotiate and apply cross-home phase offsets for a finished run.
 
+    :func:`coordinate_profiles`' core over the homes' load series, with
+    the phase period defaulting to the fleet's largest ``maxDCP``.
     ``results`` are the per-home :class:`~repro.core.system.RunResult`
-    objects of ``fleet`` (fleet order), as produced by the independent
-    fan-out in :func:`~repro.neighborhood.federation.run_neighborhood`.
-    Pure post-exchange: no randomness, no re-simulation, bit-identical
-    for any worker count.
+    objects of ``fleet`` (fleet order).  Pure post-exchange: no
+    randomness, no re-simulation, bit-identical for any worker count.
 
     ``partials`` — the per-shard
     :class:`~repro.neighborhood.aggregate.SeriesPartial` pre-reductions
-    of a sharded run, when available — let the independent baseline
-    profile fold from S shard columns instead of N homes; the value is
-    bit-identical either way.
-
-    ``envelopes`` — per-home phase envelopes (fleet order) the shard
-    workers pre-reduced at :func:`snap_bin`'s width — skip the
-    parent-side :func:`phase_envelope` pass entirely.
-    :func:`phase_envelope` is pure, so precomputed and recomputed
-    envelopes are the same tuples and the negotiation is bit-identical.
+    of the run — let the independent baseline fold from S shard columns
+    instead of N homes; ``envelopes`` — per-home phase envelopes (fleet
+    order) the shard workers pre-reduced at :func:`snap_bin`'s width —
+    skip the parent-side :func:`phase_envelope` pass.  Both are
+    bit-identical to computing them here.
     """
     if config is None:
         config = FeederConfig()
@@ -584,50 +623,13 @@ def coordinate_fleet(fleet: "FleetSpec", results: Sequence[RunResult],
         raise ValueError(
             f"fleet has {fleet.n_homes} homes but got {len(results)} "
             f"results")
-    epoch = config.epoch if config.epoch is not None \
-        else max(home.scenario.max_dcp for home in fleet.homes)
-    epoch = min(epoch, horizon)
-    bin_s = snap_bin(horizon, config.bin_s)
-    shifts = max(int(epoch / bin_s + 1e-9), 1)
-    home_ids = [home.home_id for home in fleet.homes]
-    if envelopes is not None:
-        if len(envelopes) != fleet.n_homes:
-            raise ValueError(
-                f"fleet has {fleet.n_homes} homes but got "
-                f"{len(envelopes)} precomputed envelopes")
-        envelope_map = {home.home_id: envelope
-                        for home, envelope in zip(fleet.homes, envelopes)}
-    else:
-        envelope_map = {
-            home.home_id: phase_envelope(result.load_w, horizon, bin_s)
-            for home, result in zip(fleet.homes, results)}
-    claims, cp_stats, sweeps = negotiate_offsets(home_ids, envelope_map,
-                                                 shifts, config)
-    planned = tuple(claims[home.home_id] * bin_s
-                    for home in fleet.homes)
-    if partials is not None:
-        independent = combine_partials(partials,
-                                       [r.load_w for r in results])
-    else:
-        independent = sum_series([r.load_w for r in results])
-    rotated = [rotate_series(result.load_w, offset, horizon)
-               for result, offset in zip(results, planned)]
-    coordinated = sum_series(rotated)
-    applied = True
-    if config.guard and any(offset != 0.0 for offset in planned):
-        if coordinated.maximum(0.0, horizon) \
-                >= independent.maximum(0.0, horizon) - 1e-9:
-            applied = False
-    elif all(offset == 0.0 for offset in planned):
-        applied = False
-    if not applied:
-        rotated = [rotate_series(result.load_w, 0.0, horizon)
-                   for result in results]
-        coordinated = independent
-    return FeederCoordination(
-        epoch=epoch, bin_s=bin_s,
-        planned_offsets_s=planned,
-        offsets_s=planned if applied else tuple(0.0 for _ in planned),
-        applied=applied, sweeps=sweeps, cp_stats=cp_stats,
-        contributions_w=rotated, independent_w=independent,
-        coordinated_w=coordinated)
+    if envelopes is not None and len(envelopes) != fleet.n_homes:
+        raise ValueError(
+            f"fleet has {fleet.n_homes} homes but got "
+            f"{len(envelopes)} precomputed envelopes")
+    series = [result.load_w for result in results]
+    baseline = combine_partials(partials, series) \
+        if partials is not None else None
+    return _coordinate(series, horizon, config,
+                       _default_epoch(config, fleet.homes), "feeder",
+                       envelopes=envelopes, baseline=baseline)

@@ -2,9 +2,9 @@
 
 Each home is one independent :class:`~repro.core.system.HanSystem` run (the
 paper's decentralized coordination never crosses the home's meter), so a
-neighborhood is embarrassingly parallel: the federation hands every home to
-the :class:`~repro.experiments.runner.ParallelRunner` and sums the returned
-load series into the feeder profile.
+neighborhood is embarrassingly parallel: the federation runs the fleet as
+shards of homes (:mod:`repro.neighborhood.shard` — a small fleet is one
+shard) and folds the returned load series into the feeder profile.
 
 With ``coordination="feeder"`` a second, cross-home collaboration plane
 runs after the fan-out: the feeder CP of
@@ -23,13 +23,11 @@ from typing import Optional
 from repro.analysis.loadstats import LoadStats, load_stats
 from repro.analysis.report import format_table
 from repro.core.system import RunResult
-from repro.experiments.runner import ParallelRunner, RunSpec
 from repro.neighborhood.aggregate import (
     FeederComparison,
     FeederStats,
     combine_partials,
     feeder_stats,
-    sum_series,
 )
 from repro.neighborhood.shard import execute_shards, plan_shards
 from repro.neighborhood.coordination import (
@@ -232,17 +230,16 @@ def execute_fleet(fleet: FleetSpec, jobs: int = 1,
     ``forecast`` — a :class:`~repro.neighborhood.online.ForecastConfig`
     or any object carrying its fields — selecting the forecaster.
 
-    ``shard_size`` / ``transport`` tune the fleet-scale execution
-    strategy (see :mod:`repro.neighborhood.shard`): large fleets are
-    auto-sharded so each worker runs a whole sub-fleet, pre-reduces it
-    locally and ships one batched series frame; ``shard_size=0`` forces
-    the per-home path.  Pure execution knobs — results are bit-identical
-    for every combination.
+    ``shard_size`` / ``transport`` tune the execution strategy (see
+    :mod:`repro.neighborhood.shard`): every fleet runs as shards — each
+    worker runs a whole sub-fleet, pre-reduces it locally and ships one
+    batched series frame; ``shard_size=None`` sizes shards
+    automatically (a small in-process fleet is one shard).  Pure
+    execution knobs — results are bit-identical for every combination.
 
-    ``shard_executor`` swaps the per-shard worker body on the sharded
-    path (see :func:`repro.neighborhood.shard.execute_shards`) — the
-    service plane's checkpointing hook; ignored when the fleet runs
-    per-home.
+    ``shard_executor`` swaps the per-shard worker body (see
+    :func:`repro.neighborhood.shard.execute_shards`) — the service
+    plane's checkpointing hook.
     """
     if coordination not in COORDINATION_MODES:
         known = ", ".join(COORDINATION_MODES)
@@ -259,28 +256,13 @@ def execute_fleet(fleet: FleetSpec, jobs: int = 1,
     shards = plan_shards(fleet, until=until, shard_size=shard_size,
                          jobs=jobs, transport=transport,
                          envelope_bin_s=envelope_bin)
-    partials = None
-    home_stats = None
-    envelopes = None
-    if shards is not None:
-        results, partials, home_stats, envelopes = execute_shards(
-            shards, jobs=jobs, mp_context=mp_context,
-            executor=shard_executor)
-    else:
-        specs = [RunSpec(name=home.scenario.name, config=home.config(),
-                         until=until)
-                 for home in fleet.homes]
-        results = ParallelRunner(jobs=jobs,
-                                 mp_context=mp_context).run(specs)
+    results, partials, home_stats, envelopes = execute_shards(
+        shards, jobs=jobs, mp_context=mp_context, executor=shard_executor)
+    plan = None
     if coordination == "feeder":
         plan = coordinate_fleet(fleet, results, horizon, config=feeder,
                                 partials=partials, envelopes=envelopes)
-        return NeighborhoodResult(fleet=fleet, homes=results,
-                                  feeder_w=plan.coordinated_w,
-                                  horizon=horizon, coordination=plan,
-                                  spec=spec,
-                                  precomputed_home_stats=home_stats)
-    if coordination == "online":
+    elif coordination == "online":
         from repro.neighborhood.online import (
             ForecastConfig,
             coordinate_fleet_online,
@@ -295,19 +277,11 @@ def execute_fleet(fleet: FleetSpec, jobs: int = 1,
         plan = coordinate_fleet_online(fleet, results, horizon,
                                        config=feeder, forecast=forecast,
                                        partials=partials)
-        return NeighborhoodResult(fleet=fleet, homes=results,
-                                  feeder_w=plan.coordinated_w,
-                                  horizon=horizon, coordination=plan,
-                                  spec=spec,
-                                  precomputed_home_stats=home_stats)
-    if partials is not None:
-        feeder_w = combine_partials(
-            partials, [result.load_w for result in results])
-    else:
-        feeder_w = sum_series([result.load_w for result in results])
+    feeder_w = plan.coordinated_w if plan is not None else \
+        combine_partials(partials, [result.load_w for result in results])
     return NeighborhoodResult(fleet=fleet, homes=results, feeder_w=feeder_w,
-                              horizon=horizon, spec=spec,
-                              precomputed_home_stats=home_stats)
+                              horizon=horizon, coordination=plan,
+                              spec=spec, precomputed_home_stats=home_stats)
 
 
 def run_neighborhood(fleet: FleetSpec, jobs: int = 1,

@@ -16,12 +16,11 @@ coordination pass:
    parent never recomputes per-home envelopes.
 2. **Substation tier** — the *feeder-level* profiles become the unit
    that flows up the tree (per arXiv:2304.11770's aggregate-envelope
-   evaluation): each feeder's realized profile is compressed to a
-   :func:`~repro.neighborhood.coordination.phase_envelope`, the same
-   claim rounds negotiate per-feeder phase offsets, and offsets apply
-   as energy/peak-conserving rotation with the same
-   realized-improvement guard.  The substation plane never regresses
-   the grid it coordinates.
+   evaluation): the same coordination core
+   (:func:`repro.neighborhood.coordination.coordinate_profiles`) runs
+   over feeder profiles instead of homes — envelopes, claim rounds,
+   energy/peak-conserving rotation and the realized-improvement guard.
+   The substation plane never regresses the grid it coordinates.
 
 Aggregation composes exactly up the tree because
 :func:`repro.neighborhood.aggregate.combine_partials` is
@@ -46,23 +45,19 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 from repro.analysis.report import format_table
-from repro.core.system import RunResult
-from repro.experiments.runner import ParallelRunner, RunSpec
 from repro.neighborhood.aggregate import (
     FeederComparison,
     FeederStats,
     combine_partials,
     feeder_stats,
-    partial_sum,
     sum_series,
 )
 from repro.neighborhood.coordination import (
     FeederConfig,
     FeederCoordination,
+    _default_epoch,
     coordinate_fleet,
-    negotiate_offsets,
-    phase_envelope,
-    rotate_series,
+    coordinate_profiles,
     snap_bin,
 )
 from repro.neighborhood.federation import NeighborhoodResult
@@ -162,72 +157,6 @@ def build_grid(feeders: Sequence[Mapping[str, object]], seed: int = 1,
     fleets = [replace(fleet, name=f"{grid_name}/feeder{index}")
               for index, fleet in enumerate(fleets)]
     return GridSpec(name=grid_name, seed=seed, feeders=tuple(fleets))
-
-
-# ---------------------------------------------------------------------------
-# the substation tier
-# ---------------------------------------------------------------------------
-
-def coordinate_profiles(profiles: Sequence[StepSeries], horizon: float,
-                        config: Optional[FeederConfig] = None,
-                        epoch: Optional[float] = None,
-                        name: str = "substation") -> FeederCoordination:
-    """Negotiate phase offsets between already-aggregated profiles.
-
-    The substation tier is the feeder plane applied to *feeder-level*
-    profiles instead of homes: each profile is compressed to its
-    :func:`~repro.neighborhood.coordination.phase_envelope`, the same
-    round-robin claim rounds
-    (:func:`~repro.neighborhood.coordination.negotiate_offsets`) pick
-    per-profile offsets, and offsets apply as
-    :func:`~repro.neighborhood.coordination.rotate_series` — conserving
-    each profile's energy and individual peak exactly.  The same
-    realized-improvement guard re-checks the rotated sum against the
-    un-rotated baseline and declines (zero offsets, ``applied=False``)
-    unless the realized aggregate peak strictly improves.
-
-    In the returned :class:`FeederCoordination`, ``independent_w`` is
-    the *pre-negotiation baseline* at this tier — the plain sum of the
-    incoming profiles (which may themselves already be
-    feeder-coordinated).
-    """
-    if config is None:
-        config = FeederConfig()
-    if not profiles:
-        raise ValueError("need at least one profile to coordinate")
-    resolved_epoch = epoch if epoch is not None else \
-        (config.epoch if config.epoch is not None else horizon)
-    resolved_epoch = min(resolved_epoch, horizon)
-    bin_s = snap_bin(horizon, config.bin_s)
-    shifts = max(int(resolved_epoch / bin_s + 1e-9), 1)
-    ids = list(range(len(profiles)))
-    envelopes = {index: phase_envelope(profile, horizon, bin_s)
-                 for index, profile in enumerate(profiles)}
-    claims, cp_stats, sweeps = negotiate_offsets(ids, envelopes, shifts,
-                                                 config)
-    planned = tuple(claims[index] * bin_s for index in ids)
-    baseline = sum_series(list(profiles), name=name)
-    rotated = [rotate_series(profile, offset, horizon)
-               for profile, offset in zip(profiles, planned)]
-    coordinated = sum_series(rotated, name=name)
-    applied = True
-    if config.guard and any(offset != 0.0 for offset in planned):
-        if coordinated.maximum(0.0, horizon) \
-                >= baseline.maximum(0.0, horizon) - 1e-9:
-            applied = False
-    elif all(offset == 0.0 for offset in planned):
-        applied = False
-    if not applied:
-        rotated = [rotate_series(profile, 0.0, horizon)
-                   for profile in profiles]
-        coordinated = baseline
-    return FeederCoordination(
-        epoch=resolved_epoch, bin_s=bin_s,
-        planned_offsets_s=planned,
-        offsets_s=planned if applied else tuple(0.0 for _ in planned),
-        applied=applied, sweeps=sweeps, cp_stats=cp_stats,
-        contributions_w=rotated, independent_w=baseline,
-        coordinated_w=coordinated)
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +318,10 @@ def execute_grid(grid: GridSpec, jobs: int = 1,
 
     The grid execution primitive the spec API bottoms out in
     (:func:`repro.api.run.run` compiles a ``grid`` spec and calls
-    here).  Per feeder, execution reuses the PR 5 shard path unchanged
-    — including worker-side envelope pre-reduction when a tier will
-    coordinate — with shard indices renumbered *globally* across
-    feeders so service-plane checkpoint sub-addresses
+    here).  Every feeder runs on the fleet shard path — including
+    worker-side envelope pre-reduction when a tier will coordinate —
+    with shard indices renumbered *globally* across feeders so
+    service-plane checkpoint sub-addresses
     (:func:`repro.api.compile.shard_sub_hash`) stay unique.
 
     ``coordination`` is one of :data:`GRID_COORDINATION_MODES`; the
@@ -416,43 +345,29 @@ def execute_grid(grid: GridSpec, jobs: int = 1,
     all_series: list[StepSeries] = []
     next_shard_index = 0
     for fleet in grid.feeders:
-        shards = plan_shards(fleet, until=until, shard_size=shard_size,
-                             jobs=jobs, transport=transport,
-                             envelope_bin_s=envelope_bin)
-        if shards is not None:
-            shards = [replace(shard, index=next_shard_index + offset)
-                      for offset, shard in enumerate(shards)]
-            next_shard_index += len(shards)
-            results, partials, home_stats, envelopes = execute_shards(
-                shards, jobs=jobs, mp_context=mp_context,
-                executor=shard_executor)
-        else:
-            specs = [RunSpec(name=home.scenario.name,
-                             config=home.config(), until=until)
-                     for home in fleet.homes]
-            results = ParallelRunner(jobs=jobs,
-                                     mp_context=mp_context).run(specs)
-            partials = [partial_sum([one.load_w for one in results])]
-            home_stats = None
-            envelopes = None
+        shards = [replace(shard, index=next_shard_index + offset)
+                  for offset, shard in enumerate(plan_shards(
+                      fleet, until=until, shard_size=shard_size,
+                      jobs=jobs, transport=transport,
+                      envelope_bin_s=envelope_bin))]
+        next_shard_index += len(shards)
+        results, partials, home_stats, envelopes = execute_shards(
+            shards, jobs=jobs, mp_context=mp_context,
+            executor=shard_executor)
         series = [one.load_w for one in results]
         all_partials.extend(partials)
         all_series.extend(series)
-        if coordination == "independent":
-            feeder_results.append(NeighborhoodResult(
-                fleet=fleet, homes=results,
-                feeder_w=combine_partials(partials, series),
-                horizon=horizon,
-                precomputed_home_stats=home_stats))
-        else:
+        plan = None
+        if coordination != "independent":
             plan = coordinate_fleet(fleet, results, horizon,
                                     config=config, partials=partials,
                                     envelopes=envelopes)
-            feeder_results.append(NeighborhoodResult(
-                fleet=fleet, homes=results,
-                feeder_w=plan.coordinated_w, horizon=horizon,
-                coordination=plan,
-                precomputed_home_stats=home_stats))
+        feeder_results.append(NeighborhoodResult(
+            fleet=fleet, homes=results,
+            feeder_w=plan.coordinated_w if plan is not None
+            else combine_partials(partials, series),
+            horizon=horizon, coordination=plan,
+            precomputed_home_stats=home_stats))
 
     # The fully-independent substation profile folds from *all* shard
     # partials at once: partition-invariant, so any feeder grouping or
@@ -467,12 +382,11 @@ def execute_grid(grid: GridSpec, jobs: int = 1,
             [feeder.feeder_w for feeder in feeder_results],
             name="substation")
     else:
-        epoch = config.epoch if config.epoch is not None else max(
-            home.scenario.max_dcp
-            for fleet in grid.feeders for home in fleet.homes)
         substation_plan = coordinate_profiles(
             [feeder.feeder_w for feeder in feeder_results], horizon,
-            config=config, epoch=epoch)
+            config=config, epoch=_default_epoch(
+                config, (home for fleet in grid.feeders
+                         for home in fleet.homes)))
         substation_w = substation_plan.coordinated_w
     return GridResult(grid=grid, feeders=feeder_results,
                       substation_w=substation_w,

@@ -1,8 +1,9 @@
 """Sharded neighborhood execution: fleets lowered to per-shard sub-specs.
 
-At N≥500 homes the fan-out itself becomes the cost: one dispatch, one
-result pickle and one parent-side aggregation step *per home*.  Sharding
-re-cuts the work so every unit is a contiguous **sub-fleet**:
+The one fleet execution path.  At N≥500 homes a per-home fan-out would
+cost one dispatch, one result pickle and one parent-side aggregation
+step *per home*; sharding cuts the work so every unit is a contiguous
+**sub-fleet** (a small in-process fleet is a single shard):
 
 * :func:`shard_fleet` lowers a :class:`~repro.neighborhood.fleet.FleetSpec`
   into per-shard sub-specs (``<fleet>/shard<i>`` slices) — the
@@ -39,10 +40,8 @@ from repro.neighborhood.fleet import FleetSpec
 from repro.neighborhood.transport import FrameUnavailableError, \
     SeriesFrame, pack_series, unpack_series
 
-#: Fleets smaller than this stay on the per-home path by default —
-#: dispatch and aggregation overhead only dominates at fleet scale.
-AUTO_SHARD_MIN_HOMES = 64
-#: Auto shard size for in-process (``jobs=1``) fleet runs.
+#: Auto shard size for in-process (``jobs=1``) fleet runs — a fleet
+#: smaller than this runs as one shard.
 DEFAULT_SHARD_SIZE = 64
 
 
@@ -107,15 +106,16 @@ def plan_shards(fleet: FleetSpec, until: Optional[float] = None,
                 shard_size: Optional[int] = None, jobs: int = 1,
                 transport: Optional[str] = None,
                 envelope_bin_s: Optional[float] = None,
-                ) -> Optional[list[ShardSpec]]:
-    """Decide the shard layout for one fleet run (``None`` = don't shard).
+                ) -> list[ShardSpec]:
+    """Decide the shard layout for one fleet run.
 
-    ``shard_size=None`` auto-shards fleets of
-    :data:`AUTO_SHARD_MIN_HOMES`+ homes — ``jobs``-aware so every worker
+    ``shard_size=None`` sizes shards automatically: in process
+    (``jobs=1``) :data:`DEFAULT_SHARD_SIZE` homes per shard, so a small
+    fleet is one shard; across processes ``jobs``-aware so every worker
     sees several shards (load balancing, same policy as
-    :func:`repro.experiments.pool.dispatch_chunksize`); ``0`` forces the
-    per-home path; any other value is used as given.  ``transport``
-    overrides the wire format for cross-process shards.
+    :func:`repro.experiments.pool.dispatch_chunksize`).  Any value
+    ``>= 1`` is used as given.  ``transport`` overrides the wire format
+    for cross-process shards.
 
     ``envelope_bin_s`` (a bin width already snapped to the horizon —
     see :func:`repro.neighborhood.coordination.snap_bin`) asks the shard
@@ -125,22 +125,14 @@ def plan_shards(fleet: FleetSpec, until: Optional[float] = None,
     <repro.neighborhood.coordination.phase_envelope>` is pure, so the
     result is bit-identical to computing them parent-side.
     """
-    n_homes = fleet.n_homes
-    if shard_size is None:
-        if n_homes < AUTO_SHARD_MIN_HOMES:
-            return None
+    size = shard_size
+    if size is None:
         if jobs <= 1:
             size = DEFAULT_SHARD_SIZE
         else:
             from repro.experiments.pool import CHUNKS_PER_WORKER
-            size = max(1, math.ceil(n_homes / (jobs * CHUNKS_PER_WORKER)))
-    elif shard_size == 0:
-        return None
-    else:
-        if shard_size < 1:
-            raise ValueError(
-                f"shard_size must be >= 0, got {shard_size}")
-        size = shard_size
+            size = max(1, math.ceil(fleet.n_homes
+                                    / (jobs * CHUNKS_PER_WORKER)))
     sub_fleets = shard_fleet(fleet, size)
     horizon = until if until is not None else fleet.horizon
     in_process = jobs == 1 or len(sub_fleets) == 1
@@ -161,8 +153,8 @@ def _execute_shard(spec: ShardSpec) -> tuple:
     the same reasons as
     :func:`repro.experiments.runner._execute_run_spec`; a failing home
     names itself, not the shard, so
-    :class:`~repro.experiments.runner.WorkerFailure` messages stay as
-    precise as on the per-home path.
+    :class:`~repro.experiments.runner.WorkerFailure` messages name the
+    home that raised.
     """
     results: list[RunResult] = []
     for home in spec.fleet.homes:
@@ -221,13 +213,12 @@ def execute_shards(shards: Sequence[ShardSpec], jobs: int = 1,
     (:func:`repro.service.worker._checkpointed_shard`); since outcomes
     are bit-identical however produced, the hook cannot change results.
     """
-    from repro.experiments.runner import ParallelRunner, WorkerFailure
+    from repro.experiments.runner import WorkerFailure, fan_out
     shards = list(shards)
     if not shards:
         return [], [], [], None
-    runner = ParallelRunner(jobs=jobs, mp_context=mp_context)
-    triples = runner.execute(
-        executor if executor is not None else _execute_shard, shards)
+    triples = fan_out(executor if executor is not None else _execute_shard,
+                      shards, jobs=jobs, mp_context=mp_context)
     homes: list[RunResult] = []
     partials: list[SeriesPartial] = []
     home_stats: list[LoadStats] = []
@@ -237,7 +228,7 @@ def execute_shards(shards: Sequence[ShardSpec], jobs: int = 1,
     # unpack_series unlinks the shared-memory segment, so a failing
     # sibling shard can never strand the finished ones' blocks in
     # /dev/shm for the life of the (persistent-pool) process.
-    for status, name, payload in triples:
+    for shard, (status, name, payload) in zip(shards, triples):
         if status == "err":
             if failure is None:
                 failure = (name, payload)
@@ -254,7 +245,7 @@ def execute_shards(shards: Sequence[ShardSpec], jobs: int = 1,
                 # in-process and frameless, reproduces the lost data
                 # exactly; only the transport optimization is lost.
                 status, name, payload = _execute_shard(
-                    replace(shards[outcome.index], transport=None))
+                    replace(shard, transport=None))
                 if status == "err":
                     if failure is None:
                         failure = (name, payload)

@@ -7,7 +7,7 @@ idioms only — so the queue works on any POSIX filesystem, survives
 ``kill -9`` at every point, and recovers leases from crashed workers:
 
 * **atomic publish** — job and lease records are JSON files written to a
-  per-pid temp name and ``os.replace``-d into place; readers see a
+  per-thread temp name and ``os.replace``-d into place; readers see a
   complete old record or a complete new one, never a torn write;
 * **atomic create** — submission materializes the job file via
   ``os.link`` (fails if the job already exists), which is what
@@ -47,6 +47,7 @@ try:  # pragma: no cover - exercised per-platform
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
+from repro.api.cache import writer_tag
 from repro.api.spec import ExperimentSpec, spec_hash
 
 #: Seconds a lease stays valid between heartbeats before the job is
@@ -191,8 +192,8 @@ class JobQueue:
             os.close(fd)
 
     def _write_json(self, path: Path, data: dict) -> None:
-        """Atomic record publish: per-pid temp + ``os.replace``."""
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        """Atomic record publish: per-thread temp + ``os.replace``."""
+        tmp = path.with_name(f"{path.name}.{writer_tag()}.tmp")
         tmp.write_text(json.dumps(data, indent=1, sort_keys=True))
         os.replace(tmp, path)
 
@@ -274,7 +275,7 @@ class JobQueue:
         record = JobRecord(job_id=job_id, name=spec.name, kind=spec.kind,
                            spec_data=spec.to_dict(), submitted=stamp)
         self._mkdirs()
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        tmp = path.with_name(f"{path.name}.{writer_tag()}.tmp")
         tmp.write_text(json.dumps(self._job_to(record), indent=1,
                                   sort_keys=True))
         try:

@@ -14,7 +14,6 @@ from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import Counter, GaugeSum, StepSeries
 from repro.sim.process import Process
-from repro.sim.resources import Resource, Store
 from repro.sim.rng import RandomStreams, exponential_interarrival
 from repro.sim import units
 
@@ -28,11 +27,9 @@ __all__ = [
     "Interrupt",
     "Process",
     "RandomStreams",
-    "Resource",
     "SimulationError",
     "Simulator",
     "StepSeries",
-    "Store",
     "Timeout",
     "exponential_interarrival",
     "units",

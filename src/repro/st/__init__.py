@@ -1,7 +1,6 @@
 """Synchronous-Transmission protocol suite: Glossy, MiniCast, CP drivers."""
 
 from repro.st.glossy import FloodResult, GlossyConfig, run_flood
-from repro.st.manyone import CollectionOutcome, ManyToOne
 from repro.st.minicast import MiniCast, MiniCastConfig, RoundOutcome
 from repro.st.rounds import (
     CpApplication,
@@ -14,14 +13,12 @@ from repro.st.rounds import (
 from repro.st.sync import SyncService, SyncStats
 
 __all__ = [
-    "CollectionOutcome",
     "CpApplication",
     "CpCalibration",
     "CpStats",
     "FloodResult",
     "GlossyConfig",
     "IdealCP",
-    "ManyToOne",
     "MiniCast",
     "MiniCastConfig",
     "RoundOutcome",

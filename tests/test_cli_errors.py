@@ -38,6 +38,15 @@ def test_bad_jobs_regen(capsys):
     assert "jobs must be >= 1" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["neighborhood", "--homes", "2"], ["grid"], ["chaos", "run"],
+    ["worker"]])
+def test_shard_size_zero_rejected(capsys, command):
+    code, err = run_expecting_error(capsys, *command, "--shard-size", "0")
+    assert code == 2
+    assert "--shard-size must be >= 1, got 0" in err
+
+
 def test_neighborhood_flags_validate_provenance_spec(capsys):
     """The spec embedded in exports must itself be valid (exit 2 if not)."""
     code, err = run_expecting_error(

@@ -27,7 +27,7 @@ from repro.neighborhood import (
     sum_series,
 )
 from repro.neighborhood.aggregate import dedup_records
-from repro.neighborhood.shard import AUTO_SHARD_MIN_HOMES
+from repro.neighborhood.shard import DEFAULT_SHARD_SIZE
 from repro.neighborhood.transport import (
     pack_series,
     pick_transport,
@@ -69,11 +69,10 @@ def result_digest(result) -> str:
 
 @pytest.mark.parametrize("coordination", ["independent", "feeder"])
 def test_results_bit_identical_across_shard_sizes_and_jobs(
-        fleet, coordination, shutdown_pools_after):
-    """Digests equal for shard sizes {1, 8, N} x jobs {1, 4} x per-home."""
-    reference = result_digest(execute_fleet(fleet, jobs=1,
-                                            coordination=coordination,
-                                            shard_size=0))
+        fleet, coordination, serial_fleet, shutdown_pools_after):
+    """Digests equal for shard sizes {1, 8, N} x jobs {1, 4} and the
+    serial per-home reference."""
+    reference = result_digest(serial_fleet(fleet, coordination))
     for shard_size in (1, 8, N_HOMES):
         for jobs in (1, 4):
             run = execute_fleet(fleet, jobs=jobs,
@@ -105,16 +104,17 @@ def test_shard_fleet_slices_preserve_homes(fleet):
     assert shards[1].name == f"{fleet.name}/shard1"
 
 
-def test_small_fleets_stay_per_home_by_default(fleet):
-    assert fleet.n_homes < AUTO_SHARD_MIN_HOMES
-    assert plan_shards(fleet) is None
-    assert plan_shards(fleet, shard_size=0) is None
+def test_small_fleet_plans_one_shard_in_process(fleet):
+    assert fleet.n_homes < DEFAULT_SHARD_SIZE
+    (only,) = plan_shards(fleet, jobs=1)
+    assert only.fleet.homes == fleet.homes
+    assert only.transport is None
 
 
 def test_auto_sharding_kicks_in_at_fleet_scale(fleet):
-    big = build_fleet(2 * AUTO_SHARD_MIN_HOMES + 2, mix="suburb", seed=1)
+    big = build_fleet(2 * DEFAULT_SHARD_SIZE + 2, mix="suburb", seed=1)
     auto = plan_shards(big)
-    assert auto is not None and len(auto) > 1
+    assert len(auto) > 1
     assert tuple(home for s in auto for home in s.fleet.homes) == big.homes
     # jobs-aware sizing: several shards per worker for load balancing
     fanned = plan_shards(big, jobs=4)
@@ -128,8 +128,9 @@ def test_auto_sharding_kicks_in_at_fleet_scale(fleet):
 
 
 def test_bad_shard_size_rejected(fleet):
-    with pytest.raises(ValueError, match="shard_size"):
-        plan_shards(fleet, shard_size=-3)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="shard_size"):
+            plan_shards(fleet, shard_size=bad)
     with pytest.raises(ValueError, match="shard_size"):
         shard_fleet(fleet, 0)
 
@@ -331,16 +332,15 @@ def grid_value_digest(result) -> str:
 
 
 def test_grid_bit_identical_across_jobs_and_shard_sizes(
-        shutdown_pools_after):
-    """jobs {1, 4} x shard sizes {2, auto, per-home}: one digest."""
+        serial_grid, shutdown_pools_after):
+    """jobs {1, 4} x shard sizes {1, 2, auto}: the serial reference's
+    digest."""
     from repro.neighborhood import build_grid, execute_grid
     grid = build_grid([{"homes": 6}, {"homes": 6, "mix": "mixed"}],
                       seed=3, cp_fidelity="ideal", horizon=HORIZON)
-    reference = grid_value_digest(
-        execute_grid(grid, jobs=1, coordination="substation",
-                     shard_size=0))
+    reference = grid_value_digest(serial_grid(grid, "substation"))
     for jobs in (1, 4):
-        for shard_size in (2, None, 0):
+        for shard_size in (1, 2, None):
             probe = execute_grid(grid, jobs=jobs,
                                  coordination="substation",
                                  shard_size=shard_size)

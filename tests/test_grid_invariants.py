@@ -104,12 +104,11 @@ def test_substation_aggregate_is_exact_fsum(topology_seed):
     assert list(result.independent_w.values) == fsum_reference(result)
 
 
-@pytest.mark.parametrize("shard_size", [1, 8, None, 0])
+@pytest.mark.parametrize("shard_size", [1, 2, 8, None])
 def test_substation_aggregate_invariant_across_shard_sizes(
-        shard_size, shutdown_pools_after):
+        shard_size, serial_grid, shutdown_pools_after):
     grid = small_grid(seed=5)
-    reference = execute_grid(grid, coordination="independent",
-                             shard_size=0)
+    reference = serial_grid(grid, "independent")
     probe = execute_grid(grid, coordination="independent",
                          shard_size=shard_size)
     assert grid_digest(probe) == grid_digest(reference)
@@ -228,13 +227,25 @@ def test_substation_mode_with_one_feeder_equals_feeder_mode():
 
 @pytest.mark.parametrize("coordination", ["feeder", "substation"])
 def test_envelope_prereduction_never_changes_bits(
-        coordination, shutdown_pools_after):
-    """Shard workers pre-reduce per-home envelopes; the parent path
-    computes them itself — both must negotiate identical offsets."""
+        coordination, serial_grid, shutdown_pools_after):
+    """Shard workers pre-reduce per-home envelopes; the serial reference
+    computes them parent-side — both must negotiate identical offsets."""
     grid = small_grid(seed=17)
     sharded = execute_grid(grid, coordination=coordination, shard_size=2)
-    per_home = execute_grid(grid, coordination=coordination, shard_size=0)
-    assert grid_digest(sharded) == grid_digest(per_home)
+    assert grid_digest(sharded) == \
+        grid_digest(serial_grid(grid, coordination))
+
+
+def test_lost_frame_in_a_later_feeder_reexecutes_its_own_shard(
+        shutdown_pools_after):
+    """Grid shard indices run across feeders, so the frame-loss
+    fallback must re-run the shard the frame came from — not look it up
+    by global index in the current feeder's shard list."""
+    from repro.faults import FaultPlan
+    clean = grid_spec_document("feeder")
+    lossy = replace(clean, faults=FaultPlan(seed=4, frame_loss=1.0))
+    reference = grid_digest(run(clean, jobs=2, shard_size=1).grid)
+    assert grid_digest(run(lossy, jobs=2, shard_size=1).grid) == reference
 
 
 # -- the spec surface ------------------------------------------------------

@@ -1,10 +1,10 @@
-"""MiniCast all-to-all rounds and the many-to-one variant."""
+"""MiniCast all-to-all rounds."""
 
 import pytest
 
 from repro.radio import EnergyMeter, FloodMedium, flocklab26
 from repro.sim import RandomStreams
-from repro.st import ManyToOne, MiniCast, MiniCastConfig
+from repro.st import MiniCast, MiniCastConfig
 
 
 @pytest.fixture
@@ -72,16 +72,3 @@ def test_delivery_ratio_single_node(medium):
     minicast = MiniCast(medium)
     outcome = minicast.run_round([0])
     assert outcome.delivery_ratio([0]) == 1.0
-
-
-def test_many_to_one_collects_everything(medium):
-    protocol = ManyToOne(medium)
-    outcome = protocol.run_round(range(26), sink=12)
-    assert outcome.collected == set(range(26)) - {12}
-    assert outcome.informed == set(range(26))
-
-
-def test_many_to_one_requires_sink_participation(medium):
-    protocol = ManyToOne(medium)
-    with pytest.raises(ValueError):
-        protocol.run_round(range(5), sink=99)
