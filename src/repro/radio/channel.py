@@ -15,6 +15,7 @@ All powers are dBm, all distances metres.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -60,6 +61,97 @@ def prr_from_sinr(sinr_db: float, psdu_bytes: int) -> float:
     return (1.0 - ber) ** (8 * psdu_bytes)
 
 
+#: Relative half-width of the band around each PRR step edge inside
+#: which :class:`PrrSteps` defers to the scalar chain.  ``math.log10``
+#: and the float arithmetic of the chain move an edge by ~1e-14
+#: relative; 1e-9 leaves five orders of magnitude of margin.
+_EDGE_GUARD = 1e-9
+#: Highest SNR the step table spans, dB (powers above fall back).
+_TOP_SNR_DB = 120.0
+
+
+class PrrSteps:
+    """The flood-slot PRR of a combined received power, by table.
+
+    The scalar chain (:meth:`scalar_prr`: ``mw_to_dbm``, the sensitivity
+    cut, then ``prr_from_sinr(dbm - noise_floor)``) depends on the power
+    only through which 0.01 dB step ``round(snr, 2)`` lands on, so it is
+    a step function of the power in mW.  :meth:`prrs` finds each step by
+    one bisection over the step edges, each widened to a guard band of
+    ``_EDGE_GUARD``, and reads a table the scalar chain fills on first
+    use; a power inside a guard band (an odd bisection index) takes the
+    scalar chain directly.  Every result is bit-identical to it.
+    """
+
+    def __init__(self, config: RadioConfig, psdu_bytes: int):
+        self.config = config
+        self.psdu_bytes = psdu_bytes
+        sensitivity_snr = config.sensitivity_dbm - config.noise_floor_dbm
+        #: hundredths of a dB of the step just above the sensitivity cut
+        self.first_step = math.floor(sensitivity_snr * 100.0 + 0.5)
+        top = math.ceil(_TOP_SNR_DB * 100.0)
+        edges_snr = (np.arange(self.first_step, top) + 0.5) / 100.0
+        edges = np.concatenate((
+            [dbm_to_mw(config.sensitivity_dbm)],
+            10.0 ** ((config.noise_floor_dbm + edges_snr) / 10.0)))
+        bands = np.column_stack((edges * (1.0 - _EDGE_GUARD),
+                                 edges * (1.0 + _EDGE_GUARD)))
+        if bands[0, 1] >= bands[1, 0]:
+            # The cut sits on a step edge: one band covers both, and the
+            # step between them (never reached outside it) is dropped.
+            bands[1, 0] = bands[0, 0]
+            bands = bands[1:]
+            self.first_step += 1
+        # Edge j becomes the band [points[2j], points[2j + 1]); step j
+        # (below the cut for j = 0, else first_step + j - 1 hundredths)
+        # lies between bands, at bisection index 2j.
+        self.points: list[float] = bands.ravel().tolist()
+        self.values: list[Optional[float]] = [0.0] + [None] * len(bands)
+
+    def scalar_prr(self, mw: float) -> float:
+        """The scalar chain (0.0 at zero power or below sensitivity)."""
+        if mw <= 0.0:
+            return 0.0
+        dbm = mw_to_dbm(mw)
+        if dbm < self.config.sensitivity_dbm:
+            return 0.0
+        return prr_from_sinr(dbm - self.config.noise_floor_dbm,
+                             self.psdu_bytes)
+
+    def prrs(self, powers_mw: Sequence[float], nodes: Sequence[int],
+             scale: float = 1.0) -> list[float]:
+        """PRR at ``powers_mw[node]`` times ``scale``, for each of
+        ``nodes`` in order."""
+        points, values = self.points, self.values
+        last = len(points)
+        out = []
+        for node in nodes:
+            mw = powers_mw[node]
+            index = bisect_right(points, mw)
+            if index & 1 or index == last:
+                out.append(self.scalar_prr(mw) * scale)
+                continue
+            value = values[index >> 1]
+            if value is None:
+                value = values[index >> 1] = prr_from_sinr(
+                    (self.first_step + (index >> 1) - 1) / 100.0,
+                    self.psdu_bytes)
+            out.append(value * scale)
+        return out
+
+
+_PRR_STEPS: dict[tuple, PrrSteps] = {}
+
+
+def prr_steps(config: RadioConfig, psdu_bytes: int) -> PrrSteps:
+    """The shared :class:`PrrSteps` of a radio config and frame length."""
+    key = (config.noise_floor_dbm, config.sensitivity_dbm, psdu_bytes)
+    steps = _PRR_STEPS.get(key)
+    if steps is None:
+        steps = _PRR_STEPS[key] = PrrSteps(config, psdu_bytes)
+    return steps
+
+
 class Channel:
     """Static link-gain table over a set of node positions."""
 
@@ -94,27 +186,37 @@ class Channel:
                              np.maximum(self.distances, 1.0)))
         self._rx_power_dbm = config.tx_power_dbm - path_loss - shadowing
         np.fill_diagonal(self._rx_power_dbm, float("-inf"))
-        self._rx_power_mw = np.where(
+        #: linear received power of every directed link (``[src, dst]``)
+        self.rx_power_mw_table = np.where(
             np.isfinite(self._rx_power_dbm),
             10.0 ** (self._rx_power_dbm / 10.0), 0.0)
+        #: the same doubles as Python row lists (``[src][dst]``):
+        #: per-frame link lookups (CSMA delivery, carrier sense) index
+        #: these instead of paying for a NumPy scalar on every access
+        self.rx_power_dbm_rows: list[list[float]] = \
+            self._rx_power_dbm.tolist()
+        self.rx_power_mw_rows: list[list[float]] = \
+            self.rx_power_mw_table.tolist()
         self.noise_mw = dbm_to_mw(config.noise_floor_dbm)
 
     # -- link queries ---------------------------------------------------------
 
     def rx_power_dbm(self, src: int, dst: int) -> float:
         """Received power at ``dst`` of a frame sent by ``src``."""
-        return float(self._rx_power_dbm[src, dst])
+        return self.rx_power_dbm_rows[src][dst]
 
     def rx_power_mw(self, src: int, dst: int) -> float:
-        return float(self._rx_power_mw[src, dst])
+        return self.rx_power_mw_rows[src][dst]
 
     def audible(self, src: int, dst: int) -> bool:
         """True when ``src``'s signal exceeds the receive sensitivity."""
-        return self.rx_power_dbm(src, dst) >= self.config.sensitivity_dbm
+        return (self.rx_power_dbm_rows[src][dst]
+                >= self.config.sensitivity_dbm)
 
     def carrier_sensed(self, src: int, dst: int) -> bool:
         """True when ``dst``'s CCA would report busy while ``src`` sends."""
-        return self.rx_power_dbm(src, dst) >= self.config.cca_threshold_dbm
+        return (self.rx_power_dbm_rows[src][dst]
+                >= self.config.cca_threshold_dbm)
 
     def snr_db(self, src: int, dst: int) -> float:
         """Interference-free signal-to-noise ratio of the link."""
@@ -129,14 +231,10 @@ class Channel:
     def sinr_db(self, dst: int, src: int,
                 interferers: Sequence[int]) -> float:
         """SINR at ``dst`` for ``src``'s signal against ``interferers``."""
-        signal = self._rx_power_mw[src, dst]
+        rows = self.rx_power_mw_rows
         interference = self.noise_mw + sum(
-            self._rx_power_mw[i, dst] for i in interferers if i != src)
-        return mw_to_dbm(signal) - mw_to_dbm(interference)
-
-    def combined_rx_power_mw(self, dst: int, senders: Sequence[int]) -> float:
-        """Aggregate power at ``dst`` from simultaneous ``senders``."""
-        return float(sum(self._rx_power_mw[s, dst] for s in senders))
+            rows[i][dst] for i in interferers if i != src)
+        return mw_to_dbm(rows[src][dst]) - mw_to_dbm(interference)
 
     # -- topology-level queries -------------------------------------------------
 

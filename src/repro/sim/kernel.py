@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import sys
 from itertools import count
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.sim.errors import SimulationError, StopSimulation
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
@@ -98,6 +98,33 @@ class Simulator:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Event firing once any event in ``events`` has fired."""
         return AnyOf(self, events)
+
+    def every(self, period: float, callback: Callable[[], None]) -> Event:
+        """Call ``callback`` now, then every ``period`` time units.
+
+        The periodic counterpart of a process looping ``callback(); yield
+        sim.timeout(period)``, without its generator resume or a
+        :class:`Timeout` per period: one event is re-armed in place after
+        each call.  It takes its queue key exactly where that process
+        would — the first at this call (as :meth:`spawn` schedules a
+        process kick-off), each later one right after ``callback``
+        returns — so events at the same instant run in the same order
+        as under the process.  Returns the event (it never completes).
+        """
+        if period <= 0:
+            raise ValueError(f"period must be positive, got {period}")
+        tick = Event(self)
+        tick._value = None
+
+        def fire(event: Event) -> None:
+            callback()
+            event.callbacks = rearm
+            self._schedule(event, delay=period)
+
+        rearm = [fire]
+        tick.callbacks = rearm
+        self._schedule(tick)
+        return tick
 
     def spawn(self, generator: ProcessGenerator,
               name: Optional[str] = None) -> Process:

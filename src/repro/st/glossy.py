@@ -95,30 +95,32 @@ def run_flood(medium: FloodMedium, initiator: int,
         raise ValueError(f"initiator {initiator} not among participants")
 
     result = FloodResult(initiator=initiator)
+    first_rx_slot = result.first_rx_slot
+    n_tx = config.n_tx
+    psdu_bytes = config.psdu_bytes
     tx_counts: dict[int, int] = {n: 0 for n in nodes}
     #: nodes that will transmit in the current slot
     transmitters: set[int] = {initiator}
 
     slot = 0
     while transmitters and slot < config.max_slots:
+        # Listeners in set-iteration order: the order they draw in.
         listeners = [n for n in nodes
-                     if n not in transmitters and tx_counts[n] < config.n_tx]
+                     if n not in transmitters and tx_counts[n] < n_tx]
         received = medium.flood_slot(sorted(transmitters), listeners,
-                                     config.psdu_bytes)
+                                     psdu_bytes)
         for node in transmitters:
             tx_counts[node] += 1
-        next_transmitters: set[int] = set()
         for node in received:
-            if node not in result.first_rx_slot and node != initiator:
-                result.first_rx_slot[node] = slot
-            next_transmitters.add(node)
+            if node not in first_rx_slot and node != initiator:
+                first_rx_slot[node] = slot
         # Glossy: the initiator alternates TX/RX slots until its budget ends.
-        if tx_counts[initiator] < config.n_tx and initiator in transmitters:
-            next_transmitters.discard(initiator)
-        elif tx_counts[initiator] < config.n_tx:
-            next_transmitters.add(initiator)
-        transmitters = {n for n in next_transmitters
-                        if tx_counts[n] < config.n_tx}
+        if tx_counts[initiator] < n_tx:
+            if initiator in transmitters:
+                received.discard(initiator)
+            else:
+                received.add(initiator)
+        transmitters = {n for n in received if tx_counts[n] < n_tx}
         slot += 1
 
     result.tx_counts = tx_counts

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
+import numpy as np
+
 from repro.radio.energy import EnergyMeter
 from repro.radio.medium import FloodMedium
 from repro.st.glossy import FloodResult, GlossyConfig, run_flood
@@ -101,14 +103,34 @@ class MiniCast:
                 outcome.delivered[origin] = (
                     receivers | set(group)) - {origin}
             elapsed += flood.duration + self.config.inter_flood_gap
-            if energy is not None:
-                slot = self.config.flood.slot_length
-                for node in nodes:
-                    tx_time = flood.tx_counts.get(node, 0) * slot
-                    energy[node].add("tx", tx_time)
-                    energy[node].add("rx", max(flood.duration - tx_time, 0.0))
         outcome.duration = elapsed
+        if energy is not None and outcome.floods:
+            self._charge(outcome.floods, nodes, energy)
         return outcome
+
+    def _charge(self, floods: list[FloodResult], nodes: list[int],
+                energy: dict[int, EnergyMeter]) -> None:
+        """Charge every flood of a round to every node's meter at once.
+
+        Each node pays its transmit slots as TX and the rest of each
+        flood as RX.  Per meter and state the additions happen flood by
+        flood, in flood order (a cumulative sum down the flood axis), so
+        the tallies are bit-identical to adding one flood at a time.
+        """
+        meters = [energy[node] for node in nodes]
+        if len({id(meter) for meter in meters}) != len(meters):
+            raise ValueError("every participant needs its own EnergyMeter")
+        slot = self.config.flood.slot_length
+        counts = np.array([[flood.tx_counts.get(node, 0) for node in nodes]
+                           for flood in floods])
+        durations = np.array([[flood.duration] for flood in floods])
+        tx_time = counts * slot
+        rx_time = np.maximum(durations - tx_time, 0.0)
+        for state, charge in (("tx", tx_time), ("rx", rx_time)):
+            start = [meter.seconds[state] for meter in meters]
+            totals = np.cumsum(np.vstack([start, charge]), axis=0)[-1]
+            for meter, total in zip(meters, totals.tolist()):
+                meter.seconds[state] = total
 
 
 PayloadProvider = Callable[[int], object]

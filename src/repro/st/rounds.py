@@ -62,7 +62,7 @@ class CpStats:
 
 
 class _CpBase:
-    """Shared alive-set and process bookkeeping."""
+    """Shared alive-set and periodic-tick bookkeeping."""
 
     def __init__(self, sim: "Simulator", app: CpApplication,
                  nodes: Sequence[int], period: float = 2.0):
@@ -73,13 +73,14 @@ class _CpBase:
         self.alive: set[int] = set(nodes)
         self.stats = CpStats()
         self.round_index = 0
-        self._process = None
+        self._ticker = None
+        self._pending_nodes = getattr(app, "cp_pending_nodes", None)
 
     def start(self) -> None:
         """Begin periodic rounds (first round runs immediately)."""
-        if self._process is not None:
+        if self._ticker is not None:
             raise RuntimeError("CP already started")
-        self._process = self.sim.spawn(self._run(), name="cp-rounds")
+        self._ticker = self.sim.every(self.period, self._tick)
 
     def fail_node(self, node: int) -> None:
         """Crash ``node``: it stops initiating, relaying and receiving."""
@@ -90,11 +91,9 @@ class _CpBase:
         if node in self.nodes:
             self.alive.add(node)
 
-    def _run(self):
-        while True:
-            self._round()
-            self.round_index += 1
-            yield self.sim.timeout(self.period)
+    def _tick(self) -> None:
+        self._round()
+        self.round_index += 1
 
     # -- interface for subclasses ------------------------------------------------
 
@@ -116,7 +115,7 @@ class _CpBase:
         payloads = {}
         app = self.app
         round_index = self.round_index
-        pending = getattr(app, "cp_pending_nodes", None)
+        pending = self._pending_nodes
         if pending is not None:
             candidates = pending()
             if not candidates:
@@ -248,16 +247,24 @@ class SampledCP(_CpBase):
         self.stats.rounds_active += 1
         self.stats.duration_on_air += self.round_duration
         self._had_miss = False
-        origin_rows = {origin: self.delivery_prob[self._index[origin]]
-                       for origin in payloads}
-        for node in sorted(self.alive):
+        receivers = sorted(self.alive)
+        origins = [(origin, payload,
+                    self.delivery_prob[self._index[origin]].tolist())
+                   for origin, payload in payloads.items()]
+        # One uniform per (receiver, foreign origin) pair, in receiver
+        # then origin order: drawn as one block, the same doubles as
+        # one scalar draw per pair.
+        draws = iter(self.rng.random(
+            len(receivers) * len(origins)
+            - len(payloads.keys() & set(receivers))).tolist())
+        for node in receivers:
             j = self._index[node]
             packets = {}
-            for origin, payload in payloads.items():
+            for origin, payload, row in origins:
                 if origin == node:
                     packets[origin] = payload
                     continue
-                if self.rng.random() < origin_rows[origin][j]:
+                if next(draws) < row[j]:
                     packets[origin] = payload
                     self.stats.deliveries += 1
                 else:
@@ -277,16 +284,17 @@ class SampledCP(_CpBase):
         ordered = sorted(nodes)
         n = len(ordered)
         index = {node: i for i, node in enumerate(ordered)}
-        hits = np.zeros((n, n))
+        hits = [[0] * n for _ in range(n)]
         total_duration = 0.0
         energy = {node: EnergyMeter() for node in ordered}
         for _ in range(rounds):
             outcome = minicast.run_round(ordered, energy=energy)
             total_duration += outcome.duration
             for origin in ordered:
+                row = hits[index[origin]]
                 for receiver in outcome.delivered.get(origin, ()):
-                    hits[index[origin], index[receiver]] += 1
-        prob = hits / rounds
+                    row[index[receiver]] += 1
+        prob = np.array(hits, dtype=float).reshape(n, n) / rounds
         np.fill_diagonal(prob, 1.0)
         mean_energy = float(np.mean(
             [m.energy_joules() for m in energy.values()])) / rounds

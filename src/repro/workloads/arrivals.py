@@ -10,6 +10,7 @@ property.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
@@ -66,6 +67,10 @@ class PoissonArrivals:
         self.demand = demand
         self.stats = ArrivalStats(per_device={d: 0 for d in device_ids})
         self.requests: list[UserRequest] = []
+        #: request ids count from 1 per arrival process — so per run —
+        #: making a run's requests (and its exports) independent of what
+        #: else ran in the process
+        self._request_ids = count(1)
 
     def run(self):
         """Arrival process; spawn with ``sim.spawn(arrivals.run())``."""
@@ -78,7 +83,8 @@ class PoissonArrivals:
         device = int(self.rng.choice(self.device_ids))
         request = UserRequest(device_id=device,
                               arrival_time=self.sim.now,
-                              demand_cycles=self.demand(self.rng))
+                              demand_cycles=self.demand(self.rng),
+                              request_id=next(self._request_ids))
         self.requests.append(request)
         self.stats.generated += 1
         self.stats.per_device[device] += 1

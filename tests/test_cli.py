@@ -389,3 +389,34 @@ def test_chaos_run_site_specific_rates(capsys):
                         "--fault-rate", "telemetry_dup=0.2")
     assert code == 0
     assert "telemetry dropped" in out
+
+
+def test_rerun_in_one_process_exports_identical_bytes(capsys, tmp_path):
+    """Request ids count per run, not per process: a second run of the
+    same spec exports byte-identical JSON and CSV."""
+    from repro.analysis.export import requests_to_csv
+    from repro.core.system import HanConfig, execute_config
+    from repro.workloads.scenarios import paper_scenario
+
+    exports = []
+    for attempt in range(2):
+        run_json = tmp_path / f"run-{attempt}.json"
+        fleet_json = tmp_path / f"fleet-{attempt}.json"
+        fleet_csv = tmp_path / f"fleet-{attempt}.csv"
+        requests_csv = tmp_path / f"requests-{attempt}.csv"
+        code, _ = run_cli(capsys, "run", "--policy", "coordinated",
+                          "--fidelity", "ideal", "--horizon-min", "30",
+                          "--export-json", str(run_json))
+        assert code == 0
+        code, _ = run_cli(capsys, "neighborhood", "--homes", "2",
+                          "--fidelity", "ideal", "--horizon-min", "30",
+                          "--export-json", str(fleet_json),
+                          "--export-csv", str(fleet_csv))
+        assert code == 0
+        requests_to_csv(execute_config(HanConfig(
+            scenario=paper_scenario("high"), cp_fidelity="ideal")),
+            requests_csv)
+        exports.append((run_json, fleet_json, fleet_csv, requests_csv))
+    for first, second in zip(*exports):
+        assert first.read_bytes() == second.read_bytes(), first.name
+    assert b'"request_id": 1,' in exports[0][0].read_bytes()

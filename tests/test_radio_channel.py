@@ -89,8 +89,10 @@ def test_sinr_ignores_self_in_interferers():
 
 
 def test_combined_power_adds():
+    from repro.radio import FloodMedium
     channel = line_channel([20.0, 20.0])
-    combined = channel.combined_rx_power_mw(1, [0, 2])
+    medium = FloodMedium(channel, np.random.default_rng(0))
+    combined = medium.combined_power_mw([0, 2])[1]
     assert combined == pytest.approx(
         channel.rx_power_mw(0, 1) + channel.rx_power_mw(2, 1))
 

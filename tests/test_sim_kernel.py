@@ -391,3 +391,50 @@ def test_recycled_timeout_behaves_like_fresh():
     assert order == [("a", 1.0), ("b", 2.0, "payload"), ("a2", 4.0)]
     with pytest.raises(ValueError):
         sim.timeout(-1.0)  # recycled path validates like the constructor
+
+
+def _periodic_log(use_every):
+    """Same-instant events around a periodic callback, in run order."""
+    sim = Simulator()
+    log = []
+
+    def marker(label, first, step):
+        yield sim.timeout(first)
+        while True:
+            log.append((sim.now, label))
+            yield sim.timeout(step)
+
+    def tick():
+        log.append((sim.now, "tick"))
+        # Both land on the next tick instant: the timeout is keyed before
+        # the re-arm, the spawned process's wait after it.
+        sim.timeout(1.0).callbacks.append(
+            lambda _event: log.append((sim.now, "direct")))
+        sim.spawn(marker("echo", 1.0, 100.0))
+
+    sim.spawn(marker("early", 1.0, 1.0))
+    if use_every:
+        sim.every(1.0, tick)
+    else:
+        def loop():
+            while True:
+                tick()
+                yield sim.timeout(1.0)
+        sim.spawn(loop())
+    sim.spawn(marker("late", 0.0, 0.5))
+    sim.run(until=4.0)
+    return log
+
+
+def test_every_orders_like_a_timeout_loop():
+    assert _periodic_log(True) == _periodic_log(False)
+    assert [entry for entry in _periodic_log(True) if entry[0] == 1.0] == [
+        (1.0, "early"), (1.0, "direct"), (1.0, "tick"), (1.0, "echo"),
+        (1.0, "late")]
+
+
+def test_every_rejects_non_positive_period():
+    sim = Simulator()
+    for period in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            sim.every(period, lambda: None)
