@@ -1,10 +1,12 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the artefact suite.
 
-Every bench regenerates one paper artefact (figure/table) or ablation and
+Every bench regenerates one paper artefact (figure/table) or ablation
+once, asserts its shape, and
 
 * saves the rendered text under ``benchmarks/results/<id>.txt``,
-* prints it (visible with ``pytest -s``),
-* records headline numbers in ``benchmark.extra_info``.
+* prints it (visible with ``pytest -s``).
+
+Timing lives in ``perfbench/`` (see ``docs/performance.md``).
 """
 
 from pathlib import Path

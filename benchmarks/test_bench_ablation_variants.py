@@ -6,19 +6,14 @@ halves the smoothing headroom.  Also regenerates the single-point-of-
 failure comparison the introduction argues from.
 """
 
-import pytest
-
 from repro.experiments import scheduler_variants, spof_comparison
 from repro.sim.units import MINUTE
 
 HORIZON = 180 * MINUTE
 
 
-@pytest.mark.benchmark(group="ablations")
-def test_scheduler_variants(benchmark, record_figure):
-    figure = benchmark.pedantic(
-        lambda: scheduler_variants(seeds=(1, 2), horizon=HORIZON),
-        rounds=1, iterations=1)
+def test_scheduler_variants(record_figure):
+    figure = scheduler_variants(seeds=(1, 2), horizon=HORIZON)
     record_figure(figure)
     data = figure.data
 
@@ -30,23 +25,12 @@ def test_scheduler_variants(benchmark, record_figure):
     assert data["stagger/strict"]["wait_min"] <= \
         data["stagger/period"]["wait_min"] + 1e-6
 
-    for variant, row in data.items():
-        if variant == "uncoordinated":
-            continue
-        benchmark.extra_info[variant.replace("/", "_")] = round(
-            row["peak_reduction_pct"], 1)
 
-
-@pytest.mark.benchmark(group="ablations")
-def test_spof(benchmark, record_figure):
-    figure = benchmark.pedantic(
-        lambda: spof_comparison(fail_at=60 * MINUTE, seed=3,
-                                horizon=240 * MINUTE),
-        rounds=1, iterations=1)
+def test_spof(record_figure):
+    figure = spof_comparison(fail_at=60 * MINUTE, seed=3,
+                             horizon=240 * MINUTE)
     record_figure(figure)
     data = figure.data
 
     assert data["centralized"]["admitted_after_failure"] == 0.0
     assert data["coordinated"]["admitted_after_failure"] > 0.95
-    benchmark.extra_info["coordinated_admitted_pct"] = round(
-        100 * data["coordinated"]["admitted_after_failure"], 1)

@@ -5,18 +5,14 @@ items with every other DI well inside the 2 s period, with >99% delivery,
 microsecond sync and a single-digit-mJ energy bill.
 """
 
-import pytest
-
 from repro.experiments import trace_cp
 from repro.radio import FloodMedium, flocklab26
 from repro.sim import RandomStreams
 from repro.st import GlossyConfig, MiniCast, run_flood
 
 
-@pytest.mark.benchmark(group="cp")
-def test_fig1_cp_trace(benchmark, record_figure):
-    result = benchmark.pedantic(lambda: trace_cp(rounds=25, seed=1),
-                                rounds=1, iterations=1)
+def test_fig1_cp_trace(record_figure):
+    result = trace_cp(rounds=25, seed=1)
 
     class _Figure:  # adapt CpTraceResult to the record_figure helper
         figure_id = "fig1-cp-trace"
@@ -33,11 +29,6 @@ def test_fig1_cp_trace(benchmark, record_figure):
     # Duty-cycled radio: a few percent, not always-on.
     assert result.radio_duty_cycle < 0.25
 
-    benchmark.extra_info["round_ms"] = round(result.mean_duration_ms, 1)
-    benchmark.extra_info["delivery"] = round(result.mean_delivery, 4)
-    benchmark.extra_info["duty_cycle_pct"] = round(
-        100 * result.radio_duty_cycle, 2)
-
 
 def _medium(seed=1):
     streams = RandomStreams(seed)
@@ -45,20 +36,18 @@ def _medium(seed=1):
     return FloodMedium(channel, streams.stream("floods"))
 
 
-@pytest.mark.benchmark(group="cp")
-def test_single_flood_speed(benchmark):
-    """Microbench: one slot-level Glossy flood over 26 nodes."""
+def test_single_flood_speed():
+    """One slot-level Glossy flood over 26 nodes."""
     medium = _medium()
     nodes = list(range(26))
-    result = benchmark(lambda: run_flood(medium, 0, nodes, GlossyConfig()))
+    result = run_flood(medium, 0, nodes, GlossyConfig())
     assert len(result.receivers) >= 24
 
 
-@pytest.mark.benchmark(group="cp")
-def test_minicast_round_speed(benchmark):
-    """Microbench: one full 26-node MiniCast round (13 floods)."""
+def test_minicast_round_speed():
+    """One full 26-node MiniCast round (13 floods)."""
     medium = _medium()
     minicast = MiniCast(medium)
     nodes = list(range(26))
-    outcome = benchmark(lambda: minicast.run_round(nodes))
+    outcome = minicast.run_round(nodes)
     assert outcome.delivery_ratio(nodes) > 0.98

@@ -10,11 +10,8 @@ import pytest
 from repro.experiments import fig2a
 
 
-@pytest.mark.benchmark(group="figures")
-def test_fig2a(benchmark, record_figure):
-    figure = benchmark.pedantic(
-        lambda: fig2a(seed=1, cp_fidelity="round"),
-        rounds=1, iterations=1)
+def test_fig2a(record_figure):
+    figure = fig2a(seed=1, cp_fidelity="round")
     record_figure(figure)
 
     stats = figure.data["stats"]
@@ -30,8 +27,3 @@ def test_fig2a(benchmark, record_figure):
     # load moves in (near-)single-device steps under coordination
     assert with_coordination.max_step_kw <= 2.0
     assert without.max_step_kw >= 1.0
-
-    benchmark.extra_info["peak_with_kw"] = with_coordination.peak_kw
-    benchmark.extra_info["peak_without_kw"] = without.peak_kw
-    benchmark.extra_info["std_with_kw"] = with_coordination.std_kw
-    benchmark.extra_info["std_without_kw"] = without.std_kw

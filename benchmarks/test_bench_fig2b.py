@@ -4,18 +4,13 @@ The paper reports peak-load reduction "up to 50%"; this bench regenerates
 the same bars (mean ± seed-std) and records the measured best reduction.
 """
 
-import pytest
-
 from repro.experiments import fig2b
 
 SEEDS = (1, 2, 3)
 
 
-@pytest.mark.benchmark(group="figures")
-def test_fig2b(benchmark, record_figure):
-    figure = benchmark.pedantic(
-        lambda: fig2b(seeds=SEEDS, cp_fidelity="round"),
-        rounds=1, iterations=1)
+def test_fig2b(record_figure):
+    figure = fig2b(seeds=SEEDS, cp_fidelity="round")
     record_figure(figure)
 
     rates = figure.data["rates"]
@@ -33,6 +28,5 @@ def test_fig2b(benchmark, record_figure):
 
     best = figure.data["best_reduction_pct"]
     # the paper claims "up to 50%"; the reproduced shape lands in the
-    # 25-55% band depending on seed (see EXPERIMENTS.md)
+    # 25-55% band depending on seed (see benchmarks/results/fig2b.txt)
     assert best >= 25.0
-    benchmark.extra_info["best_peak_reduction_pct"] = best

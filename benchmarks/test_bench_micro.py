@@ -1,11 +1,10 @@
-"""MICRO — substrate microbenchmarks.
+"""MICRO — substrate smoke checks.
 
-Throughput of the kernel, the scheduler's planning step, the CSMA medium
-and the analysis layer; these bound how far the simulator scales.
+One pass each through the kernel, the scheduler's planning step, the
+CSMA medium and the analysis layer, with their outputs asserted.
 """
 
 import numpy as np
-import pytest
 
 from repro.core import CpItem, DeviceStatus, SchedulerConfig, SharedView, \
     plan_admissions
@@ -18,8 +17,7 @@ from repro.sim.rng import RandomStreams
 SPEC = DutyCycleSpec(min_dcd=900.0, max_dcp=1800.0)
 
 
-@pytest.mark.benchmark(group="micro")
-def test_kernel_event_throughput(benchmark):
+def test_kernel_event_throughput():
     """Schedule-and-run 10k timer events."""
 
     def run():
@@ -34,12 +32,11 @@ def test_kernel_event_throughput(benchmark):
         sim.run()
         return sim.now
 
-    now = benchmark(run)
+    now = run()
     assert now == 100.0
 
 
-@pytest.mark.benchmark(group="micro")
-def test_plan_admissions_speed(benchmark):
+def test_plan_admissions_speed():
     """One full planning pass: 26 active devices + 10 pending requests."""
     view = SharedView()
     for device_id in range(26):
@@ -56,12 +53,11 @@ def test_plan_admissions_speed(benchmark):
             arrival_time=float(i), demand_cycles=1, power_w=1000.0)
     config = SchedulerConfig(spec=SPEC)
 
-    decisions = benchmark(lambda: plan_admissions(view, config, now=0.0))
+    decisions = plan_admissions(view, config, now=0.0)
     assert len(decisions) == 10
 
 
-@pytest.mark.benchmark(group="micro")
-def test_step_series_stats_speed(benchmark):
+def test_step_series_stats_speed():
     """Time-weighted stats over a 10k-point load trace."""
     series = StepSeries()
     rng = RandomStreams(1).stream("series")
@@ -73,13 +69,12 @@ def test_step_series_stats_speed(benchmark):
         return (series.mean(0.0, 1e5), series.std(0.0, 1e5),
                 series.maximum(0.0, 1e5), series.max_step(0.0, 1e5))
 
-    mean, std, peak, step = benchmark(stats)
+    mean, std, peak, step = stats()
     assert 0 < mean < 15000
     assert peak <= 14000.0
 
 
-@pytest.mark.benchmark(group="micro")
-def test_csma_medium_throughput(benchmark):
+def test_csma_medium_throughput():
     """Back-to-back frame transmissions through the interference model.
 
     A single round-robin sender keeps the channel collision-free so the
@@ -108,5 +103,5 @@ def test_csma_medium_throughput(benchmark):
         sim.run()
         return len(delivered)
 
-    delivered = benchmark(run)
+    delivered = run()
     assert delivered >= 190  # strong adjacent links, no collisions

@@ -8,8 +8,6 @@ Shortened horizon and small fleets keep the bench in the tier-1 budget;
 the full-scale artefact regenerates via ``repro regen NBHD-COORD``.
 """
 
-import pytest
-
 from repro.experiments import neighborhood_coordination
 from repro.sim.units import MINUTE
 
@@ -18,12 +16,9 @@ COUNTS = (4, 8)
 MIXES = ("suburb", "mixed")
 
 
-@pytest.mark.benchmark(group="neighborhood")
-def test_neighborhood_coordination(benchmark, record_figure):
-    figure = benchmark.pedantic(
-        lambda: neighborhood_coordination(n_homes=COUNTS, mixes=MIXES,
-                                          seed=1, horizon=HORIZON),
-        rounds=1, iterations=1)
+def test_neighborhood_coordination(record_figure):
+    figure = neighborhood_coordination(n_homes=COUNTS, mixes=MIXES,
+                                       seed=1, horizon=HORIZON)
     record_figure(figure)
     data = figure.data
 
@@ -38,7 +33,3 @@ def test_neighborhood_coordination(benchmark, record_figure):
     for mix in MIXES:
         assert any(row["diversity_uplift"] > 1.005
                    for cell, row in data.items() if cell[0] == mix), mix
-
-    for cell, row in data.items():
-        benchmark.extra_info[f"uplift_{cell[0]}_{cell[1]}"] = round(
-            row["diversity_uplift"], 3)

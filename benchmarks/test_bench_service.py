@@ -1,7 +1,7 @@
-"""SERVICE — submit→result latency through the durable job queue.
+"""SERVICE — submit→result through the durable job queue.
 
-The PR 6 service-plane numbers for ``BENCH_PR6.json`` (group
-``service``):
+The two service-plane paths (perfbench's service-mix workload times
+them):
 
 * **cold** — submit a spec, have a worker lease + execute + publish,
   fetch the result: the full queue round trip including one real
@@ -11,8 +11,6 @@ The PR 6 service-plane numbers for ``BENCH_PR6.json`` (group
   path that must answer from the artifact store in milliseconds
   without touching the queue.
 """
-
-import pytest
 
 from repro.api import ControlSpec, ExperimentSpec, ScenarioSpec
 from repro.service import ServiceClient, ServiceStore, WorkerDaemon
@@ -28,8 +26,7 @@ def _spec() -> ExperimentSpec:
         seeds=(3,), until_s=HORIZON)
 
 
-@pytest.mark.benchmark(group="service")
-def test_cold_submit_to_result(benchmark, tmp_path):
+def test_cold_submit_to_result(tmp_path):
     store = ServiceStore(tmp_path / "store")
     client = ServiceClient(store)
     daemon = WorkerDaemon(store)
@@ -40,13 +37,11 @@ def test_cold_submit_to_result(benchmark, tmp_path):
         assert report is not None and report.state == "done"
         return client.result(job_id, timeout=0)
 
-    result = benchmark.pedantic(cold_round_trip, rounds=1, iterations=1)
+    result = cold_round_trip()
     assert result.provenance.spec_hash == client.submit(_spec())
-    benchmark.extra_info["includes_execution"] = True
 
 
-@pytest.mark.benchmark(group="service")
-def test_warm_submit_to_result(benchmark, tmp_path):
+def test_warm_submit_to_result(tmp_path):
     store = ServiceStore(tmp_path / "store")
     client = ServiceClient(store)
     job_id = client.submit(_spec())
@@ -56,10 +51,9 @@ def test_warm_submit_to_result(benchmark, tmp_path):
         assert client.submit(_spec()) == job_id
         return client.result(job_id, timeout=0)
 
-    result = benchmark(warm_round_trip)
+    result = warm_round_trip()
     assert result.provenance.spec_hash == job_id
     # The warm path never queues: the one journal lease is the warm-up.
     leases = [event for event in store.queue().journal_events()
               if event["event"] == "lease"]
     assert len(leases) == 1
-    benchmark.extra_info["includes_execution"] = False

@@ -5,15 +5,11 @@ same 26-node topology: radio energy, request-dissemination latency and
 behaviour under a synchronized request storm.
 """
 
-import pytest
-
 from repro.experiments import st_vs_at
 
 
-@pytest.mark.benchmark(group="ablations")
-def test_st_vs_at(benchmark, record_figure):
-    figure = benchmark.pedantic(lambda: st_vs_at(seed=1),
-                                rounds=1, iterations=1)
+def test_st_vs_at(record_figure):
+    figure = st_vs_at(seed=1)
     record_figure(figure)
     data = figure.data
 
@@ -25,8 +21,3 @@ def test_st_vs_at(benchmark, record_figure):
     # A simultaneous request storm collapses CSMA collection.
     assert data["at_storm_delivered"] < data["at_jittered_delivered"]
     assert data["at_storm_delivered"] <= 15
-
-    benchmark.extra_info["energy_ratio"] = round(data["energy_ratio"], 1)
-    benchmark.extra_info["at_storm_delivered"] = data["at_storm_delivered"]
-    benchmark.extra_info["at_jittered_delivered"] = \
-        data["at_jittered_delivered"]

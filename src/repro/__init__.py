@@ -24,16 +24,13 @@ from repro.core import (
     HanConfig,
     HanSystem,
     RunResult,
-    run_experiment,
 )
 from repro.workloads import PAPER_RATES, Scenario, paper_scenario
 
-#: Release version; also the result-cache invalidation key — bumped here
-#: because pickled result layouts changed (NeighborhoodResult's
-#: coordination payload may now be an ``OnlineCoordination`` with
-#: per-epoch outcomes, and ExperimentSpec grew the ``forecast``
-#: section), so pre-1.5 cache entries must miss.
-__version__ = "1.5.0"
+#: Release version; also the result-cache invalidation key.  2.0 removed
+#: the deprecated 1.x entry points; every experiment now goes through
+#: ``repro.api.run``.
+__version__ = "2.0.0"
 
 __all__ = [
     "HanConfig",
@@ -42,6 +39,5 @@ __all__ = [
     "RunResult",
     "Scenario",
     "paper_scenario",
-    "run_experiment",
     "__version__",
 ]

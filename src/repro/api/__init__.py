@@ -1,11 +1,8 @@
 """One front door for every experiment: declarative, serializable specs.
 
-The four historical entry points — ``run_experiment`` on a
-:class:`~repro.core.system.HanConfig`, the ``compare_policies`` /
-``sweep_rates`` grids, the experiment ``REGISTRY`` and
-``run_neighborhood`` over a fleet — are one pipeline wearing four
-argument conventions.  This package folds them into a single declarative
-API:
+One home, a (rate, policy, seed) sweep grid, a sharded fleet, a
+two-tier grid and a registry artefact are one pipeline.  This package
+is its single declarative API:
 
 * :class:`~repro.api.spec.ExperimentSpec` — the experiment as *data*,
   JSON round-trippable (``spec.to_json()`` /
@@ -31,7 +28,7 @@ Quickstart::
     print(result.stats()[0].peak_kw, result.provenance.short_hash)
 
 See ``docs/experiment-spec.md`` for the full schema and the migration
-table from the legacy call sites (which live on as deprecation shims).
+table from the 1.x call sites (removed in 2.0).
 """
 
 from repro.api.cache import CacheEntry, ResultCache, resolve_cache

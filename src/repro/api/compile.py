@@ -19,8 +19,8 @@ engine runs:
   stays import-light and cycle-free).
 
 Grid order is load-bearing: sweep cells flatten as (rate, policy, seed)
-with the exact run names the legacy ``sweep_rates``/``compare_policies``
-used, so results stay bit-identical through the deprecation shims.
+with run names ``<scenario>/<policy>/seed<N>``, so worker-failure
+messages and result order stay stable across releases.
 """
 
 from __future__ import annotations
@@ -127,8 +127,8 @@ def compile_run_specs(spec: ExperimentSpec) -> list:
     """Flatten a single/sweep spec into its ordered RunSpec batch.
 
     Single: one run per seed.  Sweep: the full (rate, policy, seed) grid
-    in that nesting order — run names match the legacy grid builders so
-    worker-failure messages and result ordering are unchanged.
+    in that nesting order, every run named
+    ``<scenario>/<policy>/seed<N>``.
     """
     from repro.experiments.runner import RunSpec
     if spec.kind == "single":
@@ -157,7 +157,7 @@ def compile_run_specs(spec: ExperimentSpec) -> list:
     return run_specs
 
 
-def compile_fleet(spec: ExperimentSpec, builder=None):
+def compile_fleet(spec: ExperimentSpec):
     """Build the deterministic FleetSpec of a neighborhood spec.
 
     The fleet seed is ``spec.seeds[0]``; per-home simulation seeds
@@ -167,27 +167,20 @@ def compile_fleet(spec: ExperimentSpec, builder=None):
     from the mix's archetypes, and the validator rejects any other
     scenario override on a neighborhood spec; policy and CP fidelity
     come from the control section.
-
-    ``builder`` swaps the fleet constructor (default
-    :func:`~repro.neighborhood.fleet.build_fleet`) while keeping this
-    one spec→arguments lowering; the CLI passes its own reference so
-    the compiled fleet and the provenance spec can never diverge.
     """
     if spec.fleet is None:
         raise ValueError(f"spec {spec.name!r} has no fleet section")
-    if builder is None:
-        from repro.neighborhood.fleet import build_fleet
-        builder = build_fleet
+    from repro.neighborhood.fleet import build_fleet
     plan = spec.fleet
-    return builder(plan.homes, mix=plan.mix, seed=spec.seeds[0],
-                   policy=spec.control.policy,
-                   cp_fidelity=spec.control.cp_fidelity,
-                   horizon=spec.scenario.horizon_s,
-                   rate_jitter=plan.rate_jitter,
-                   size_jitter=plan.size_jitter)
+    return build_fleet(plan.homes, mix=plan.mix, seed=spec.seeds[0],
+                       policy=spec.control.policy,
+                       cp_fidelity=spec.control.cp_fidelity,
+                       horizon=spec.scenario.horizon_s,
+                       rate_jitter=plan.rate_jitter,
+                       size_jitter=plan.size_jitter)
 
 
-def compile_grid(spec: ExperimentSpec, builder=None):
+def compile_grid(spec: ExperimentSpec):
     """Build the deterministic GridSpec of a ``grid`` spec.
 
     The grid root seed is ``spec.seeds[0]``; feeder ``i`` builds with
@@ -197,25 +190,19 @@ def compile_grid(spec: ExperimentSpec, builder=None):
     level further down.  Scenario/control lowering mirrors
     :func:`compile_fleet`: only ``scenario.horizon_s`` plus the control
     section's policy and CP fidelity apply.
-
-    ``builder`` swaps the grid constructor (default
-    :func:`~repro.neighborhood.grid.build_grid`), same contract as
-    :func:`compile_fleet`'s hook.
     """
     if spec.grid is None:
         raise ValueError(f"spec {spec.name!r} has no grid section")
-    if builder is None:
-        from repro.neighborhood.grid import build_grid
-        builder = build_grid
+    from repro.neighborhood.grid import build_grid
     plans = [{"homes": feeder.homes, "mix": feeder.mix,
               "rate_jitter": feeder.rate_jitter,
               "size_jitter": feeder.size_jitter}
              for feeder in spec.grid.feeders]
-    return builder(plans, seed=spec.seeds[0],
-                   policy=spec.control.policy,
-                   cp_fidelity=spec.control.cp_fidelity,
-                   horizon=spec.scenario.horizon_s,
-                   name=spec.name)
+    return build_grid(plans, seed=spec.seeds[0],
+                      policy=spec.control.policy,
+                      cp_fidelity=spec.control.cp_fidelity,
+                      horizon=spec.scenario.horizon_s,
+                      name=spec.name)
 
 
 def shard_sub_hash(parent_hash: str, shard) -> str:

@@ -90,7 +90,7 @@ class Result:
         return [run.stats(end=self.spec.until_s) for run in self.runs]
 
     def by_policy(self) -> dict:
-        """Runs grouped per policy (the ``compare_policies`` shape)."""
+        """Runs grouped per policy: ``{policy: PolicyOutcome}``."""
         from repro.experiments.runner import PolicyOutcome
         policies = self.spec.sweep.policies if self.spec.sweep is not None \
             else (self.spec.control.policy,)
@@ -100,7 +100,7 @@ class Result:
         return outcomes
 
     def sweep_table(self) -> dict:
-        """Runs grouped rate → policy (the ``sweep_rates`` shape)."""
+        """Runs grouped rate → policy: ``{rate: {policy: outcome}}``."""
         from repro.experiments.runner import PolicyOutcome
         if self.spec.sweep is None or not self.spec.sweep.rates:
             raise ValueError("spec has no rate axis; use by_policy()")

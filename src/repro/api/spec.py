@@ -166,9 +166,10 @@ class GridPlan:
 class SweepSpec:
     """Sweep axes: arrival rates x policies (seeds ride on the spec).
 
-    An empty ``rates`` tuple sweeps policies only (the
-    ``compare_policies`` shape); otherwise every (rate, policy, seed)
-    cell becomes one run (the Figure 2(b)/(c) shape).
+    An empty ``rates`` tuple sweeps policies only (read it back with
+    :meth:`~repro.api.run.Result.by_policy`); otherwise every (rate,
+    policy, seed) cell becomes one run (the Figure 2(b)/(c) shape, read
+    back with :meth:`~repro.api.run.Result.sweep_table`).
     """
 
     rates: tuple[float, ...] = ()
@@ -198,9 +199,8 @@ class ExperimentSpec:
     """One fully-described experiment, serializable as JSON.
 
     The only execution entry point is :func:`repro.api.run.run`; the
-    legacy call sites (``run_experiment``, ``compare_policies``,
-    ``sweep_rates``, ``run_neighborhood``) survive as deprecation shims
-    that construct one of these and delegate.
+    CLI, the registry and the service worker all build one of these and
+    call it.
     """
 
     name: str
@@ -433,9 +433,9 @@ def spec_from_config(config, until: Optional[float] = None,
                      name: Optional[str] = None) -> ExperimentSpec:
     """Losslessly re-express a HanConfig as a single-run ExperimentSpec.
 
-    The exact inverse of :func:`repro.api.compile.compile_config`: the
-    deprecation shim for ``run_experiment`` delegates through this, and
-    the equivalence test asserts the round trip is bit-identical.
+    The exact inverse of :func:`repro.api.compile.compile_config`: a
+    hand-built config runs through the spec API via this, and the
+    equivalence test asserts the round trip is bit-identical.
     """
     control = ControlSpec(
         policy=config.policy,

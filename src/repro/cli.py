@@ -49,7 +49,6 @@ from typing import Optional, Sequence
 
 from repro.analysis.report import format_table
 from repro.api import run as run_spec
-from repro.api.compile import compile_fleet, compile_grid
 from repro.api.spec import (
     ControlSpec,
     ExperimentSpec,
@@ -61,17 +60,11 @@ from repro.api.spec import (
     spec_from_config,
     spec_from_scenario,
 )
-from repro.api.validate import SpecError, validate
+from repro.api.validate import SpecError
 from repro.core.system import FIDELITIES, POLICIES
 from repro.experiments import ablations, cp_trace, figures
 from repro.experiments.runner import WorkerFailure, run_registry
-from repro.neighborhood import (
-    GRID_COORDINATION_MODES,
-    build_fleet,
-    build_grid,
-    execute_fleet,
-    execute_grid,
-)
+from repro.neighborhood import GRID_COORDINATION_MODES
 from repro.sim.units import MINUTE
 from repro.workloads.scenarios import FLEET_MIXES, paper_scenario
 
@@ -96,6 +89,34 @@ def _execution_parent() -> argparse.ArgumentParser:
     return parent
 
 
+def _fleet_parent() -> argparse.ArgumentParser:
+    """``--mix``/``--seed``/``--horizon-min``, shared by every command
+    that builds a fleet (``neighborhood``, ``grid``, ``chaos run``)."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--mix", choices=sorted(FLEET_MIXES),
+                        default="suburb")
+    parent.add_argument("--seed", type=int, default=1,
+                        help="fleet root seed (feeder and home seeds "
+                             "derive from it)")
+    parent.add_argument("--horizon-min", type=float, default=None,
+                        help="override the 350 min horizon")
+    return parent
+
+
+def _fleet_output_parent() -> argparse.ArgumentParser:
+    """Home control and exports, shared by ``neighborhood`` and ``grid``."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--policy", choices=POLICIES, default="coordinated")
+    parent.add_argument("--fidelity", choices=FIDELITIES, default="round")
+    parent.add_argument("--export-json", metavar="PATH", default=None,
+                        help="write the result as JSON, stamped with "
+                             "its spec")
+    parent.add_argument("--export-csv", metavar="PATH", default=None,
+                        help="write the top tier's and every member's "
+                             "load columns as CSV")
+    return parent
+
+
 def _horizon(args: argparse.Namespace) -> Optional[float]:
     return args.horizon_min * MINUTE if args.horizon_min else None
 
@@ -107,6 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "reproduction")
     sub = parser.add_subparsers(dest="command", required=True)
     execution = _execution_parent()
+    fleet = _fleet_parent()
+    fleet_output = _fleet_output_parent()
 
     for figure in ("fig2a", "fig2b", "fig2c", "headline"):
         p = sub.add_parser(figure, help=f"regenerate {figure}")
@@ -156,11 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump.add_argument("--out", metavar="DIR", default="specs",
                         help="output directory (default: specs/)")
 
-    p = sub.add_parser("neighborhood", parents=[execution],
+    p = sub.add_parser("neighborhood",
+                       parents=[execution, fleet, fleet_output],
                        help="N heterogeneous homes behind one feeder")
     p.add_argument("--homes", type=int, default=20)
-    p.add_argument("--mix", choices=sorted(FLEET_MIXES), default="suburb")
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--coordinate", nargs="?", const="feeder", default=None,
                    choices=("feeder", "online"), metavar="MODE",
                    help="run the feeder-level collaboration plane "
@@ -179,54 +201,29 @@ def build_parser() -> argparse.ArgumentParser:
                         "forecaster (0 = exact predictions)")
     p.add_argument("--forecast-seed", type=int, default=1,
                    help="root seed of the forecast noise streams")
-    p.add_argument("--policy", choices=POLICIES, default="coordinated")
-    p.add_argument("--fidelity", choices=FIDELITIES, default="round")
-    p.add_argument("--horizon-min", type=float, default=None,
-                   help="override the 350 min horizon")
-    p.add_argument("--export-json", metavar="PATH", default=None,
-                   help="write the neighborhood result as JSON")
-    p.add_argument("--export-csv", metavar="PATH", default=None,
-                   help="write feeder + per-home load columns as CSV")
 
-    p = sub.add_parser("grid", parents=[execution],
+    p = sub.add_parser("grid", parents=[execution, fleet, fleet_output],
                        help="fleet of fleets: F feeders under one "
                             "substation")
     p.add_argument("--feeders", type=int, default=3,
                    help="number of feeders under the substation")
     p.add_argument("--homes", type=int, default=20,
                    help="homes per feeder")
-    p.add_argument("--mix", choices=sorted(FLEET_MIXES), default="suburb")
-    p.add_argument("--seed", type=int, default=1,
-                   help="grid root seed (feeder and home seeds derive "
-                        "from it)")
     p.add_argument("--coordinate", choices=GRID_COORDINATION_MODES,
                    default="independent", metavar="TIER",
                    help="coordination tier: independent (none), feeder "
                         "(per-feeder CP rounds), or substation (feeder "
                         "rounds plus feeder-envelope negotiation at the "
                         "substation)")
-    p.add_argument("--policy", choices=POLICIES, default="coordinated")
-    p.add_argument("--fidelity", choices=FIDELITIES, default="round")
-    p.add_argument("--horizon-min", type=float, default=None,
-                   help="override the 350 min horizon")
-    p.add_argument("--export-json", metavar="PATH", default=None,
-                   help="write the grid result as JSON")
-    p.add_argument("--export-csv", metavar="PATH", default=None,
-                   help="write substation + per-feeder load columns as "
-                        "CSV")
 
     p = sub.add_parser("chaos",
                        help="fault-injection runs (seeded chaos testing)")
     chaos_sub = p.add_subparsers(dest="chaos_command", required=True)
     p_chaos = chaos_sub.add_parser(
-        "run", parents=[execution],
+        "run", parents=[execution, fleet],
         help="run an online neighborhood under an injected fault "
              "schedule and report the degradation + invariants")
     p_chaos.add_argument("--homes", type=int, default=12)
-    p_chaos.add_argument("--mix", choices=sorted(FLEET_MIXES),
-                         default="suburb")
-    p_chaos.add_argument("--seed", type=int, default=1,
-                         help="fleet root seed (workloads)")
     p_chaos.add_argument("--fault-seed", type=int, default=0,
                          help="root seed of the fault schedule; the same "
                               "seed reproduces the exact same schedule")
@@ -242,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("oracle", "persistence", "seasonal",
                                   "ewma"),
                          default="persistence")
-    p_chaos.add_argument("--horizon-min", type=float, default=None,
-                         help="override the 350 min horizon")
 
     p = sub.add_parser("regen",
                        help="regenerate registry artefacts (parallelisable)")
@@ -403,23 +398,61 @@ def _export_run_results(spec: ExperimentSpec, results, base: str) -> None:
         print(f"result written to {path}")
 
 
+def _export(result, json_path: Optional[str],
+            csv_path: Optional[str] = None) -> None:
+    """Write a :class:`~repro.api.run.Result`'s exports, spec-stamped.
+
+    Runs (single and sweep) export per-run JSON; a neighborhood or grid
+    exports its JSON report and CSV load columns.  Artefacts have no
+    export.
+    """
+    from repro.analysis import export
+    if result.runs:
+        if json_path:
+            _export_run_results(result.spec, result.runs, json_path)
+        return
+    if result.neighborhood is not None:
+        payload, to_json, to_csv = (result.neighborhood,
+                                    export.neighborhood_to_json,
+                                    export.neighborhood_to_csv)
+    elif result.grid is not None:
+        payload, to_json, to_csv = (result.grid, export.grid_to_json,
+                                    export.grid_to_csv)
+    else:
+        if json_path:
+            print("note: --export-json ignored for artefact specs")
+        return
+    if json_path:
+        path = to_json(payload, json_path, spec=result.spec)
+        print(f"result written to {path}")
+    if csv_path:
+        path = to_csv(payload, csv_path, spec=result.spec)
+        print(f"series written to {path}")
+
+
 def _run_spec_file(args: argparse.Namespace) -> int:
     """``repro run --spec path.json``: the fully declarative path."""
     _check_jobs(args.jobs)
     spec = _load_spec(args.spec)
     result = run_spec(spec, jobs=args.jobs, cache=not args.no_cache)
     print(result.render())
-    if args.export_json:
-        if result.runs:
-            _export_run_results(spec, result.runs, args.export_json)
-        elif result.neighborhood is not None:
-            from repro.analysis.export import neighborhood_to_json
-            path = neighborhood_to_json(result.neighborhood,
-                                        args.export_json, spec=spec)
-            print(f"result written to {path}")
-        else:
-            print("note: --export-json ignored for artefact specs")
+    _export(result, args.export_json)
     return 0
+
+
+def _run_fleet(args: argparse.Namespace, spec: ExperimentSpec) -> None:
+    """``repro neighborhood``/``grid``: run the flag-built spec through
+    the one front door, print its report and write its exports.
+
+    ``run`` re-validates the spec first, so the provenance block the
+    exports embed always regenerates the run (``SpecError`` → exit 2).
+    """
+    result = _checked(run_spec, spec, jobs=args.jobs,
+                      shard_size=args.shard_size)
+    payload = result.neighborhood if result.neighborhood is not None \
+        else result.grid
+    print(payload.render())
+    _export(result, args.export_json, args.export_csv)
 
 
 def _run_seed_fanout(args: argparse.Namespace, spec: ExperimentSpec) -> None:
@@ -442,8 +475,7 @@ def _run_seed_fanout(args: argparse.Namespace, spec: ExperimentSpec) -> None:
         ["seed", "peak kW", "mean kW", "std kW", "energy kWh"], rows,
         title=f"run: {result.runs[0].config.scenario.name}, policy "
               f"{args.policy}, {len(spec.seeds)} seeds x {args.jobs} jobs"))
-    if args.export_json:
-        _export_run_results(spec, result.runs, args.export_json)
+    _export(result, args.export_json)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -517,7 +549,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.jobs > 1:
             _run_seed_fanout(args, spec)
             return 0
-        result = run_spec(spec).run_result()
+        outcome = run_spec(spec)
+        result = outcome.run_result()
         stats = result.stats(end=horizon)
         print(format_table(
             ["metric", "value"],
@@ -530,10 +563,7 @@ def _dispatch(args: argparse.Namespace) -> int:
              ["requests", len(result.requests)],
              ["completed", result.completed_requests()]],
             title=f"run: {scenario.name}, seed {args.seed}"))
-        if args.export_json:
-            from repro.analysis.export import run_result_to_json
-            path = run_result_to_json(result, args.export_json, spec=spec)
-            print(f"result written to {path}")
+        _export(outcome, args.export_json)
     elif args.command == "spec":
         return _dispatch_spec(args)
     elif args.command == "neighborhood":
@@ -553,26 +583,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             fleet=FleetPlan(homes=args.homes, mix=args.mix,
                             coordination=coordination),
             forecast=forecast)
-        # Same contract as `repro run --spec`: the provenance spec the
-        # exports embed must itself validate, or the artefact's
-        # "regenerate me" block would be a lie (SpecError → exit 2).
-        validate(spec)
-        # One lowering path: the executed fleet and the provenance spec
-        # both come from compile_fleet, so they cannot diverge.  The
-        # builder stays this module's (patchable) attribute.
-        fleet = _checked(compile_fleet, spec, builder=build_fleet)
-        result = _checked(execute_fleet, fleet, jobs=args.jobs,
-                          coordination=coordination, spec=spec,
-                          shard_size=args.shard_size, forecast=forecast)
-        print(result.render())
-        if args.export_json:
-            from repro.analysis.export import neighborhood_to_json
-            path = neighborhood_to_json(result, args.export_json)
-            print(f"result written to {path}")
-        if args.export_csv:
-            from repro.analysis.export import neighborhood_to_csv
-            path = neighborhood_to_csv(result, args.export_csv)
-            print(f"series written to {path}")
+        _run_fleet(args, spec)
     elif args.command == "grid":
         _check_execution(args)
         if args.feeders < 1:
@@ -588,23 +599,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 feeders=tuple(FeederPlan(homes=args.homes, mix=args.mix)
                               for _ in range(args.feeders)),
                 coordination=args.coordinate))
-        validate(spec)
-        # Same one-lowering-path contract as `repro neighborhood`: the
-        # executed grid and the provenance spec both come from
-        # compile_grid, so they cannot diverge.
-        grid = _checked(compile_grid, spec, builder=build_grid)
-        result = _checked(execute_grid, grid, jobs=args.jobs,
-                          coordination=args.coordinate, spec=spec,
-                          shard_size=args.shard_size)
-        print(result.render())
-        if args.export_json:
-            from repro.analysis.export import grid_to_json
-            path = grid_to_json(result, args.export_json)
-            print(f"result written to {path}")
-        if args.export_csv:
-            from repro.analysis.export import grid_to_csv
-            path = grid_to_csv(result, args.export_csv)
-            print(f"series written to {path}")
+        _run_fleet(args, spec)
     elif args.command == "chaos":
         return _dispatch_chaos(args, horizon)
     elif args.command == "regen":
@@ -636,7 +631,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 for e in all_experiments()]
         print(format_table(["id", "paper artefact", "description"], rows,
                            title="Reproducible experiments "
-                                 "(see DESIGN.md / EXPERIMENTS.md)"))
+                                 "(see docs/architecture.md)"))
     return 0
 
 
@@ -690,7 +685,6 @@ def _dispatch_chaos(args: argparse.Namespace,
                         coordination="online"),
         forecast=ForecastPlan(forecaster=args.forecaster),
         faults=plan)
-    validate(spec)
     result = _checked(run_spec, spec, jobs=args.jobs,
                       shard_size=args.shard_size)
     neighborhood = result.neighborhood

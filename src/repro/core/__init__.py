@@ -23,7 +23,6 @@ from repro.core.system import (
     RunResult,
     execute_config,
     make_topology,
-    run_experiment,
 )
 
 __all__ = [
@@ -47,6 +46,5 @@ __all__ = [
     "execute_config",
     "make_topology",
     "plan_admissions",
-    "run_experiment",
     "slot_loads",
 ]

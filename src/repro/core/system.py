@@ -423,20 +423,3 @@ def execute_config(config: HanConfig,
     """
     return HanSystem(config).run(until=until)
 
-
-def run_experiment(config: HanConfig,
-                   until: Optional[float] = None) -> RunResult:
-    """Deprecated convenience runner; use :func:`repro.api.run.run`.
-
-    Kept as a shim: builds the equivalent single-run
-    :class:`~repro.api.spec.ExperimentSpec` and delegates to the spec
-    API, which produces bit-identical results (the agents field is
-    dropped, as for any runner-transported result).
-    """
-    import warnings
-    warnings.warn(
-        "run_experiment() is deprecated; build an ExperimentSpec and "
-        "call repro.api.run() instead", DeprecationWarning, stacklevel=2)
-    from repro.api import run as run_spec
-    from repro.api.spec import spec_from_config
-    return run_spec(spec_from_config(config, until=until)).runs[0]

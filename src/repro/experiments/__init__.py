@@ -23,9 +23,7 @@ from repro.experiments.runner import (
     PolicyOutcome,
     RunSpec,
     WorkerFailure,
-    compare_policies,
     run_registry,
-    sweep_rates,
 )
 from repro.experiments import registry
 
@@ -36,7 +34,6 @@ __all__ = [
     "PolicyOutcome",
     "RunSpec",
     "WorkerFailure",
-    "compare_policies",
     "cp_period_sweep",
     "fig2a",
     "fig2b",
@@ -51,6 +48,5 @@ __all__ = [
     "run_registry",
     "spof_comparison",
     "st_vs_at",
-    "sweep_rates",
     "trace_cp",
 ]

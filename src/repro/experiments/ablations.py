@@ -1,4 +1,5 @@
-"""Ablations supporting the design choices DESIGN.md calls out.
+"""Ablations of the scheme's design choices (registry entries ABL-*;
+``repro list`` prints them, ``docs/architecture.md`` maps the layers).
 
 Each function returns a :class:`~repro.experiments.figures.FigureData` whose
 ``text`` is the printable table and whose ``data`` carries the raw numbers

@@ -132,11 +132,11 @@ MAX_POOL_SHAPES = 4
 def shared_pool(jobs: int, mp_context: Optional[str] = None) -> WorkerPool:
     """The process-wide persistent pool for a ``(jobs, mp_context)`` shape.
 
-    Every ``repro.api.run`` call (and the deprecated grid shims under it)
-    draws from here, so consecutive experiment batches reuse the same
-    warm workers instead of forking per batch.  At most
-    :data:`MAX_POOL_SHAPES` shapes stay alive — drawing a new shape
-    beyond that closes the least recently used one first.
+    Every ``repro.api.run`` call draws from here, so consecutive
+    experiment batches reuse the same warm workers instead of forking
+    per batch.  At most :data:`MAX_POOL_SHAPES` shapes stay alive —
+    drawing a new shape beyond that closes the least recently used one
+    first.
     """
     key = (jobs, mp_context)
     pool = _POOLS.pop(key, None)

@@ -1,6 +1,7 @@
 """A registry of every reproducible artefact in this repository.
 
-Maps experiment ids (DESIGN.md's experiment index) to declarative
+Maps experiment ids (listed by ``repro list``; see
+``docs/architecture.md``) to declarative
 :class:`~repro.api.spec.ExperimentSpec` values plus the expected-artefact
 locations, so tooling — the CLI (``repro spec show/dump``, ``repro
 regen``), docs generators, CI's spec-roundtrip job — can enumerate,

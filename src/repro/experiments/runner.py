@@ -11,9 +11,10 @@ freshly spawned or reused from an earlier batch.
 
 Units of work are picklable :class:`RunSpec` values; worker failures
 surface as :class:`WorkerFailure` carrying the failing run's *name* plus
-its traceback.  Higher-level grids (:func:`compare_policies`,
-:func:`sweep_rates`, :func:`run_registry`) flatten every cell into one
-batch so wall-clock is bounded by the slowest single run.
+its traceback.  Higher-level grids (sweep specs compiled by
+:func:`repro.api.compile.compile_run_specs`, :func:`run_registry`)
+flatten every cell into one batch so wall-clock is bounded by the
+slowest single run.
 """
 
 from __future__ import annotations
@@ -22,12 +23,9 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from repro.analysis.loadstats import LoadStats, load_stats, mean_and_std
 from repro.core.system import HanConfig, RunResult, execute_config
 from repro.experiments.pool import WorkerPool, shared_pool
-from repro.workloads.scenarios import Scenario
 
 
 class WorkerFailure(RuntimeError):
@@ -207,87 +205,3 @@ class PolicyOutcome:
         values = [getattr(s, name) for s in self.stats()]
         return mean_and_std(values)
 
-    def waiting_time_mean(self) -> float:
-        """Mean request waiting time pooled across every seed's run."""
-        waits: list[float] = []
-        for result in self.results:
-            waits.extend(result.waiting_times())
-        return float(np.mean(waits)) if waits else 0.0
-
-
-def _sweep_spec(scenario: Scenario, rates: Sequence[float],
-                policies: Sequence[str], seeds: Sequence[int],
-                cp_fidelity: str, horizon: Optional[float],
-                config_kwargs: dict):
-    """Build the ExperimentSpec equivalent of a legacy grid call."""
-    from repro.api.spec import (
-        ControlSpec,
-        ExperimentSpec,
-        SweepSpec,
-        spec_from_scenario,
-    )
-    from dataclasses import replace as dc_replace
-    control_kwargs = dict(config_kwargs)
-    if "topology_name" in control_kwargs:
-        control_kwargs["topology"] = control_kwargs.pop("topology_name")
-    control = ControlSpec(cp_fidelity=cp_fidelity, **control_kwargs)
-    scenario_spec = spec_from_scenario(scenario)
-    if rates:
-        # Each cell's rate comes from the axis; the base scenario's own
-        # rate would be dead configuration (the validator rejects it).
-        scenario_spec = dc_replace(scenario_spec, rate_per_hour=None)
-    return ExperimentSpec(
-        name=f"{scenario.base_name}-sweep", kind="sweep",
-        scenario=scenario_spec, control=control,
-        seeds=tuple(seeds), until_s=horizon,
-        sweep=SweepSpec(rates=tuple(rates), policies=tuple(policies)))
-
-
-def compare_policies(scenario: Scenario,
-                     policies: Sequence[str] = ("coordinated",
-                                                "uncoordinated"),
-                     seeds: Sequence[int] = (1, 2, 3),
-                     cp_fidelity: str = "round",
-                     horizon: Optional[float] = None,
-                     jobs: int = 1,
-                     **config_kwargs) -> dict[str, PolicyOutcome]:
-    """Deprecated grid runner; use :func:`repro.api.run.run`.
-
-    Shim: builds the equivalent sweep
-    :class:`~repro.api.spec.ExperimentSpec` (rate axis empty), delegates
-    to the spec API and reshapes the uniform result back into the legacy
-    per-policy mapping — bit-identically.
-    """
-    import warnings
-    warnings.warn(
-        "compare_policies() is deprecated; build a sweep ExperimentSpec "
-        "and call repro.api.run() instead", DeprecationWarning,
-        stacklevel=2)
-    from repro.api import run as run_spec
-    spec = _sweep_spec(scenario, (), policies, seeds, cp_fidelity,
-                       horizon, config_kwargs)
-    return run_spec(spec, jobs=jobs).by_policy()
-
-
-def sweep_rates(scenario: Scenario, rates: Sequence[float],
-                policies: Sequence[str] = ("coordinated", "uncoordinated"),
-                seeds: Sequence[int] = (1, 2, 3),
-                cp_fidelity: str = "round",
-                horizon: Optional[float] = None,
-                jobs: int = 1,
-                **config_kwargs) -> dict[float, dict[str, PolicyOutcome]]:
-    """Deprecated Figure 2(b)/(c) sweep; use :func:`repro.api.run.run`.
-
-    Shim: builds the equivalent sweep
-    :class:`~repro.api.spec.ExperimentSpec` and delegates; the compiled
-    grid flattens exactly as before (every (rate, policy, seed) cell one
-    batch entry), so results and worker fan-out are unchanged.
-    """
-    import warnings
-    warnings.warn(
-        "sweep_rates() is deprecated; build a sweep ExperimentSpec and "
-        "call repro.api.run() instead", DeprecationWarning, stacklevel=2)
-    from repro.api import run as run_spec
-    spec = _sweep_spec(scenario, rates, policies, seeds, cp_fidelity,
-                       horizon, config_kwargs)
-    return run_spec(spec, jobs=jobs).sweep_table()

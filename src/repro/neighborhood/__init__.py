@@ -51,7 +51,6 @@ from repro.neighborhood.federation import (
     COORDINATION_MODES,
     NeighborhoodResult,
     execute_fleet,
-    run_neighborhood,
 )
 from repro.neighborhood.fleet import (
     FleetSpec,
@@ -119,7 +118,6 @@ __all__ = [
     "renegotiate_offsets",
     "rotate_series",
     "rotate_window",
-    "run_neighborhood",
     "shard_fleet",
     "snap_bin",
     "sum_series",

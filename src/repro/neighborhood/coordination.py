@@ -34,8 +34,8 @@ homes, in the spirit of distributed neighborhood scheduling
 
 Determinism: the plane consumes only the (already bit-deterministic)
 per-home results, in fleet order, and draws no randomness — so
-``run_neighborhood(..., coordination="feeder")`` stays bit-identical for
-any ``jobs`` count.
+a ``coordination="feeder"`` fleet stays bit-identical for any ``jobs``
+count.
 
 Safety: the per-bin envelope makes the negotiated objective an *upper
 bound* on the realized feeder peak, so the plane re-evaluates the final

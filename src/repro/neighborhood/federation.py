@@ -283,26 +283,3 @@ def execute_fleet(fleet: FleetSpec, jobs: int = 1,
                               horizon=horizon, coordination=plan,
                               spec=spec, precomputed_home_stats=home_stats)
 
-
-def run_neighborhood(fleet: FleetSpec, jobs: int = 1,
-                     until: Optional[float] = None,
-                     mp_context: Optional[str] = None,
-                     coordination: str = "independent",
-                     feeder: Optional[FeederConfig] = None,
-                     ) -> NeighborhoodResult:
-    """Deprecated fleet runner; use :func:`repro.api.run.run`.
-
-    Shim over :func:`execute_fleet`, the same executor a neighborhood
-    :class:`~repro.api.spec.ExperimentSpec` compiles into — results are
-    bit-identical.  Kept because pre-built :class:`FleetSpec` values
-    (the escape hatch for hand-crafted fleets) have no declarative
-    form.
-    """
-    import warnings
-    warnings.warn(
-        "run_neighborhood() is deprecated; build a neighborhood "
-        "ExperimentSpec and call repro.api.run() instead",
-        DeprecationWarning, stacklevel=2)
-    return execute_fleet(fleet, jobs=jobs, until=until,
-                         mp_context=mp_context, coordination=coordination,
-                         feeder=feeder)

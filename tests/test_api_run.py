@@ -1,8 +1,7 @@
-"""The unified run() entry point and the legacy-shim equivalence locks."""
+"""The unified run() entry point: result shapes, provenance, job-count
+invariance."""
 
 import warnings
-
-import pytest
 
 from repro.api import (
     ArtefactSpec,
@@ -13,12 +12,10 @@ from repro.api import (
     SweepSpec,
     run,
     spec_from_config,
-    spec_from_scenario,
     spec_hash,
 )
-from repro.core.system import HanConfig, execute_config, run_experiment
-from repro.experiments.runner import compare_policies, sweep_rates
-from repro.neighborhood import build_fleet, execute_fleet, run_neighborhood
+from repro.core.system import HanConfig, execute_config
+from repro.neighborhood import build_fleet, execute_fleet
 from repro.sim.units import MINUTE
 from repro.workloads import paper_scenario
 
@@ -88,7 +85,7 @@ def test_run_sweep_reshapes():
             assert len(outcome.results) == 1
 
 
-def test_run_neighborhood_attaches_spec():
+def test_run_fleet_attaches_spec():
     spec = ExperimentSpec(
         name="api-nbhd", kind="neighborhood",
         scenario=ScenarioSpec(horizon_s=SHORT),
@@ -110,85 +107,13 @@ def test_run_artefact_kind():
     assert "Communication Plane" in result.artefact.text
 
 
-# -- deprecation shims: warn once, results bit-identical ---------------------
-
-
-def test_run_experiment_shim_warns_and_matches():
+def test_spec_from_config_runs_bit_identical():
+    """A hand-built HanConfig, re-expressed as a spec, runs exactly as
+    the raw execution primitive does."""
     config = HanConfig(scenario=paper_scenario("low"), policy="coordinated",
                        cp_fidelity="ideal", seed=4)
-    with pytest.warns(DeprecationWarning, match="run_experiment"):
-        shimmed = run_experiment(config, until=SHORT)
     via_api = run(spec_from_config(config, until=SHORT)).runs[0]
-    assert_same_run(shimmed, via_api)
-    # and both match the raw execution primitive
-    assert_same_run(shimmed, execute_config(config, until=SHORT))
-
-
-def test_compare_policies_shim_warns_and_matches():
-    scenario = paper_scenario("low")
-    with pytest.warns(DeprecationWarning, match="compare_policies"):
-        shimmed = compare_policies(scenario, seeds=(1,),
-                                   cp_fidelity="ideal", horizon=SHORT)
-    spec = ExperimentSpec(
-        name="x", kind="sweep", scenario=spec_from_scenario(scenario),
-        control=ControlSpec(cp_fidelity="ideal"), seeds=(1,),
-        until_s=SHORT, sweep=SweepSpec(rates=()))
-    via_api = run(spec).by_policy()
-    assert set(shimmed) == set(via_api)
-    for policy in shimmed:
-        for a, b in zip(shimmed[policy].results, via_api[policy].results):
-            assert_same_run(a, b)
-
-
-def test_sweep_rates_shim_warns_and_matches():
-    from dataclasses import replace
-    scenario = paper_scenario("low")
-    with pytest.warns(DeprecationWarning, match="sweep_rates"):
-        shimmed = sweep_rates(scenario, rates=[18.0], seeds=(1,),
-                              cp_fidelity="ideal", horizon=SHORT)
-    spec = ExperimentSpec(
-        name="x", kind="sweep",
-        # the rate axis owns each cell's rate; the base scenario's own
-        # rate would be dead configuration the validator rejects
-        scenario=replace(spec_from_scenario(scenario),
-                         rate_per_hour=None),
-        control=ControlSpec(cp_fidelity="ideal"), seeds=(1,),
-        until_s=SHORT, sweep=SweepSpec(rates=(18.0,)))
-    via_api = run(spec).sweep_table()
-    assert set(shimmed) == set(via_api)
-    for rate in shimmed:
-        for policy in shimmed[rate]:
-            for a, b in zip(shimmed[rate][policy].results,
-                            via_api[rate][policy].results):
-                assert_same_run(a, b)
-
-
-def test_run_neighborhood_shim_warns_and_matches():
-    fleet = build_fleet(2, mix="mixed", seed=3, cp_fidelity="ideal",
-                        horizon=SHORT)
-    with pytest.warns(DeprecationWarning, match="run_neighborhood"):
-        shimmed = run_neighborhood(fleet)
-    spec = ExperimentSpec(
-        name="x", kind="neighborhood",
-        scenario=ScenarioSpec(horizon_s=SHORT),
-        control=ControlSpec(cp_fidelity="ideal"), seeds=(3,),
-        fleet=FleetPlan(homes=2, mix="mixed"))
-    via_api = run(spec).neighborhood
-    assert series_points(shimmed.feeder_w) == \
-        series_points(via_api.feeder_w)
-    for a, b in zip(shimmed.homes, via_api.homes):
-        assert_same_run(a, b)
-
-
-def test_shims_emit_exactly_one_warning():
-    config = HanConfig(scenario=paper_scenario("low"),
-                       cp_fidelity="ideal", seed=1)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        run_experiment(config, until=10 * MINUTE)
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
+    assert_same_run(via_api, execute_config(config, until=SHORT))
 
 
 def test_execute_fleet_is_warning_free():

@@ -142,7 +142,7 @@ def test_neighborhood_worker_error_names_home(capsys, monkeypatch):
     from dataclasses import replace
 
     from repro import cli as cli_module
-    from repro.neighborhood import FleetSpec, build_fleet
+    from repro.neighborhood import FleetSpec, build_fleet, fleet as fleet_mod
 
     def poisoned(n_homes, **kwargs):
         fleet = build_fleet(n_homes, **kwargs)
@@ -154,7 +154,9 @@ def test_neighborhood_worker_error_names_home(capsys, monkeypatch):
         return FleetSpec(name=fleet.name, seed=fleet.seed,
                          homes=tuple(homes))
 
-    monkeypatch.setattr(cli_module, "build_fleet", poisoned)
+    # the CLI runs its spec through repro.api.run, whose compile step
+    # builds the fleet from this module
+    monkeypatch.setattr(fleet_mod, "build_fleet", poisoned)
     code = cli_module.main(["neighborhood", "--homes", "3", "--jobs", "2",
                             "--fidelity", "ideal", "--horizon-min", "30"])
     captured = capsys.readouterr()
@@ -420,3 +422,157 @@ def test_rerun_in_one_process_exports_identical_bytes(capsys, tmp_path):
     for first, second in zip(*exports):
         assert first.read_bytes() == second.read_bytes(), first.name
     assert b'"request_id": 1,' in exports[0][0].read_bytes()
+
+
+def test_run_spec_file_grid_export_json(capsys, tmp_path):
+    """``run --spec`` exports a grid result like any other kind."""
+    from repro.analysis.export import grid_to_json
+    from repro.api import ExperimentSpec, run
+
+    spec_file = tmp_path / "grid.json"
+    spec_file.write_text(
+        '{"name": "grid-demo", "kind": "grid", '
+        '"scenario": {"horizon_s": 1200.0}, '
+        '"control": {"cp_fidelity": "ideal"}, "seeds": [2], '
+        '"grid": {"feeders": [{"homes": 2}, {"homes": 2}], '
+        '"coordination": "substation"}}')
+    target = tmp_path / "g.json"
+    code, out = run_cli(capsys, "run", "--spec", str(spec_file),
+                        "--no-cache", "--export-json", str(target))
+    assert code == 0
+    assert "ignored" not in out
+    assert target.exists()
+    spec = ExperimentSpec.from_json(spec_file.read_text())
+    expected = grid_to_json(run(spec).grid, tmp_path / "expected.json",
+                            spec=spec)
+    assert target.read_bytes() == expected.read_bytes()
+    import json
+    assert json.loads(target.read_text())["spec"]["canonical"]["name"] \
+        == "grid-demo"
+
+
+def _cli_fleet_specs():
+    """The specs ``repro neighborhood``/``grid`` build for the flags below."""
+    from repro.api.spec import (
+        ControlSpec,
+        ExperimentSpec,
+        FeederPlan,
+        FleetPlan,
+        GridPlan,
+        ScenarioSpec,
+    )
+    control = ControlSpec(policy="coordinated", cp_fidelity="ideal")
+    neighborhood = ExperimentSpec(
+        name="cli-neighborhood-mixed-3homes", kind="neighborhood",
+        scenario=ScenarioSpec(horizon_s=30 * 60.0), control=control,
+        seeds=(4,), fleet=FleetPlan(homes=3, mix="mixed",
+                                    coordination="feeder"))
+    grid = ExperimentSpec(
+        name="cli-grid-2x2", kind="grid",
+        scenario=ScenarioSpec(horizon_s=20 * 60.0), control=control,
+        seeds=(1,),
+        grid=GridPlan(feeders=(FeederPlan(homes=2), FeederPlan(homes=2)),
+                      coordination="substation"))
+    return [
+        (["neighborhood", "--homes", "3", "--mix", "mixed", "--seed", "4",
+          "--coordinate", "--jobs", "2"], neighborhood, "neighborhood"),
+        (["grid", "--feeders", "2", "--homes", "2",
+          "--coordinate", "substation", "--shard-size", "1"], grid, "grid"),
+    ]
+
+
+@pytest.mark.parametrize("argv,spec,kind", _cli_fleet_specs(),
+                         ids=["neighborhood", "grid"])
+def test_fleet_commands_export_what_api_run_exports(capsys, tmp_path,
+                                                    argv, spec, kind):
+    """The fleet commands have no private execution path: their exports
+    are byte-identical to exporting ``repro.api.run`` of the same spec."""
+    from repro.analysis import export
+    from repro.api import run
+
+    cli_json, cli_csv = tmp_path / "cli.json", tmp_path / "cli.csv"
+    code, _ = run_cli(capsys, *argv, "--fidelity", "ideal",
+                      "--horizon-min", str(spec.scenario.horizon_s / 60),
+                      "--export-json", str(cli_json),
+                      "--export-csv", str(cli_csv))
+    assert code == 0
+    payload = getattr(run(spec), kind)
+    api_json = getattr(export, f"{kind}_to_json")(
+        payload, tmp_path / "api.json", spec=spec)
+    api_csv = getattr(export, f"{kind}_to_csv")(
+        payload, tmp_path / "api.csv", spec=spec)
+    assert cli_json.read_bytes() == api_json.read_bytes()
+    assert cli_csv.read_bytes() == api_csv.read_bytes()
+
+
+def _option_table(parser, prefix=()):
+    """``{"sub command": {option: default}}`` for every (sub)command."""
+    import argparse
+    table = {" ".join(prefix): {}} if prefix else {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                table.update(_option_table(sub, prefix + (name,)))
+        elif not isinstance(action, argparse._HelpAction):
+            option = "/".join(action.option_strings) or action.dest
+            table[" ".join(prefix)][option] = action.default
+    return table
+
+
+#: Every subcommand's options and defaults, recorded before the fleet
+#: commands moved their shared flags onto argparse parent parsers.
+OPTION_TABLE = {
+    "ablation": {"--fidelity": "round", "--horizon-min": None, "--seed": 1,
+                 "--seeds": [1, 2, 3], "which": None},
+    "cache": {}, "cache clear": {}, "cache ls": {}, "cache stats": {},
+    "chaos": {},
+    "chaos run": {"--fault-rate": None, "--fault-seed": 0,
+                  "--forecaster": "persistence", "--homes": 12,
+                  "--horizon-min": None, "--jobs": 1,
+                  "--max-delay-epochs": 2, "--mix": "suburb", "--seed": 1,
+                  "--shard-size": None},
+    "cp-trace": {"--rounds": 25, "--seed": 1},
+    "fig2a": {"--fidelity": "round", "--horizon-min": None, "--seed": 1,
+              "--seeds": [1, 2, 3]},
+    "fig2b": {"--fidelity": "round", "--horizon-min": None, "--seed": 1,
+              "--seeds": [1, 2, 3]},
+    "fig2c": {"--fidelity": "round", "--horizon-min": None, "--seed": 1,
+              "--seeds": [1, 2, 3]},
+    "grid": {"--coordinate": "independent", "--export-csv": None,
+             "--export-json": None, "--feeders": 3, "--fidelity": "round",
+             "--homes": 20, "--horizon-min": None, "--jobs": 1,
+             "--mix": "suburb", "--policy": "coordinated", "--seed": 1,
+             "--shard-size": None},
+    "headline": {"--fidelity": "round", "--horizon-min": None, "--seed": 1,
+                 "--seeds": [1, 2, 3]},
+    "job": {}, "job ls": {"--store": None},
+    "job result": {"--store": None, "--timeout": None, "job_id": None},
+    "job status": {"--store": None, "job_id": None},
+    "job submit": {"--store": None, "--timeout": None, "--wait": False,
+                   "path": None},
+    "list": {},
+    "neighborhood": {"--coordinate": None, "--export-csv": None,
+                     "--export-json": None, "--fidelity": "round",
+                     "--forecast-noise": 0.0, "--forecast-seed": 1,
+                     "--forecaster": "oracle", "--homes": 20,
+                     "--horizon-min": None, "--jobs": 1, "--mix": "suburb",
+                     "--policy": "coordinated", "--seed": 1,
+                     "--shard-size": None},
+    "regen": {"--jobs": 1, "--no-cache": False, "ids": None},
+    "run": {"--devices": 26, "--export-json": None, "--fidelity": "round",
+            "--horizon-min": None, "--jobs": 1, "--no-cache": False,
+            "--policy": "coordinated", "--rate": 30.0, "--seed": 1,
+            "--seeds": [1, 2, 3], "--spec": None},
+    "serve": {"--host": None, "--port": None, "--store": None},
+    "spec": {},
+    "spec dump": {"--all": False, "--out": "specs", "ids": None},
+    "spec show": {"ids": None},
+    "spec validate": {"path": None},
+    "worker": {"--idle-exit": None, "--jobs": 1, "--lease-ttl": None,
+               "--max-jobs": None, "--shard-size": None, "--store": None,
+               "--worker-id": None},
+}
+
+
+def test_every_subcommand_keeps_its_options_and_defaults():
+    assert _option_table(build_parser()) == OPTION_TABLE

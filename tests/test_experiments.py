@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.api import (
+    ControlSpec,
+    ExperimentSpec,
+    ScenarioSpec,
+    SweepSpec,
+    run,
+)
 from repro.experiments import (
-    compare_policies,
     cp_period_sweep,
     fig2a,
     fig2b,
@@ -15,19 +21,24 @@ from repro.experiments import (
     slots_sweep,
     spof_comparison,
     st_vs_at,
-    sweep_rates,
     trace_cp,
 )
 from repro.sim.units import MINUTE
-from repro.workloads import paper_scenario
 
 SHORT = 90 * MINUTE
 SEEDS = (1,)
 
 
-def test_compare_policies_structure():
-    outcomes = compare_policies(paper_scenario("low"), seeds=SEEDS,
-                                cp_fidelity="ideal", horizon=SHORT)
+def low_sweep(rates=()):
+    return ExperimentSpec(
+        name="low-sweep", kind="sweep",
+        scenario=ScenarioSpec(preset="paper-low"),
+        control=ControlSpec(cp_fidelity="ideal"), seeds=SEEDS,
+        until_s=SHORT, sweep=SweepSpec(rates=tuple(rates)))
+
+
+def test_by_policy_structure():
+    outcomes = run(low_sweep()).by_policy()
     assert set(outcomes) == {"coordinated", "uncoordinated"}
     for outcome in outcomes.values():
         assert len(outcome.results) == 1
@@ -35,10 +46,11 @@ def test_compare_policies_structure():
         assert mean >= 0.0 and std == 0.0  # single seed
 
 
-def test_sweep_rates_keys():
-    table = sweep_rates(paper_scenario("low"), rates=[4.0, 18.0],
-                        seeds=SEEDS, cp_fidelity="ideal", horizon=SHORT)
+def test_sweep_table_keys():
+    table = run(low_sweep(rates=[4.0, 18.0])).sweep_table()
     assert set(table) == {4.0, 18.0}
+    for cell in table.values():
+        assert set(cell) == {"coordinated", "uncoordinated"}
 
 
 def test_fig2a_structure():

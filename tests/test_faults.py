@@ -1,10 +1,13 @@
-"""The fault plane's contracts: seeding, activation, spec wiring, retry.
+"""The fault plane's contracts: seeding, activation, spec wiring, retry,
+and the cost of a clean run.
 
 Unit-level locks for :mod:`repro.faults` and
 :mod:`repro.service.retry` — the integration invariants (bit-identical
 schedules across executors, energy exactness, exactly-once completion)
 live in ``tests/test_fault_matrix.py``.
 """
+
+import time
 
 import pytest
 
@@ -264,3 +267,62 @@ def test_retry_policy_validates_its_shape():
         RetryPolicy(initial_s=1.0, max_s=0.5)
     with pytest.raises(ValueError, match="jitter"):
         RetryPolicy(jitter=1.0)
+
+
+# -- a clean run pays (almost) nothing for the probes ------------------------
+
+#: Armed but unfirable: enabled (so every probe hashes) at odds no
+#: schedule ever realizes — the most expensive clean run possible.
+NEVER = FaultPlan(seed=1, telemetry_drop=1e-300, telemetry_delay=1e-300,
+                  telemetry_dup=1e-300, frame_loss=1e-300)
+
+
+def test_disabled_injector_overhead():
+    """Every hot path in the fleet pipeline carries fault probes; on a
+    clean run each is one module-global read returning ``None``.  A
+    clean online pass, a disabled-plan pass and an armed never-firing
+    pass (one SHA-256 per probe, the most any site can cost) are timed
+    interleaved; the bounds are loose because shared CI boxes jitter
+    single timings far more than the overhead itself."""
+    from repro.neighborhood import (
+        FeederConfig,
+        ForecastConfig,
+        build_fleet,
+        coordinate_fleet_online,
+        execute_fleet,
+    )
+    from repro.sim.units import HOUR
+
+    horizon = 3 * HOUR  # four 45-min CP epochs on the suburb mix
+    fleet = build_fleet(30, mix="suburb", seed=1, cp_fidelity="ideal",
+                        horizon=horizon)
+    results = execute_fleet(fleet, until=horizon).homes
+
+    def online():
+        return coordinate_fleet_online(
+            fleet, results, horizon, config=FeederConfig(),
+            forecast=ForecastConfig(forecaster="persistence"))
+
+    def timed(arm):
+        start = time.perf_counter()
+        plan = online() if arm is None else None
+        if arm is not None:
+            with fault_scope(arm):
+                plan = online()
+        elapsed = time.perf_counter() - start
+        assert plan.n_epochs > 1
+        return elapsed
+
+    def median(samples):
+        return sorted(samples)[len(samples) // 2]
+
+    timed(None), timed(NEVER)  # warm caches before measuring
+    clean, zero, armed = [], [], []
+    for _ in range(5):  # interleaved so load spikes hit all three
+        clean.append(timed(None))
+        zero.append(timed(FaultPlan(seed=1)))  # disabled: no injector
+        armed.append(timed(NEVER))
+    disabled_ratio = median(zero) / median(clean)
+    armed_ratio = median(armed) / median(clean)
+    assert disabled_ratio < 1.10  # typically < 1.01; bound is CI noise
+    assert armed_ratio < 1.35

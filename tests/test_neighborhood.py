@@ -173,13 +173,23 @@ def test_identical_seed_bit_identical_1_vs_n_workers():
         assert a.stats() == b.stats()
 
 
-def test_parallel_compare_policies_matches_serial():
-    from repro.experiments import compare_policies
-    scenario = replace(paper_scenario("low"), n_devices=6)
-    serial = compare_policies(scenario, seeds=(1, 2), cp_fidelity="ideal",
-                              horizon=HORIZON, jobs=1)
-    fanned = compare_policies(scenario, seeds=(1, 2), cp_fidelity="ideal",
-                              horizon=HORIZON, jobs=2)
+def test_parallel_sweep_matches_serial():
+    from repro.api import (
+        ControlSpec,
+        ExperimentSpec,
+        SweepSpec,
+        run,
+        spec_from_scenario,
+    )
+    spec = ExperimentSpec(
+        name="low-6dev-sweep", kind="sweep",
+        scenario=spec_from_scenario(
+            replace(paper_scenario("low"), n_devices=6)),
+        control=ControlSpec(cp_fidelity="ideal"), seeds=(1, 2),
+        until_s=HORIZON, sweep=SweepSpec(rates=()))
+    serial = run(spec, jobs=1).by_policy()
+    fanned = run(spec, jobs=2).by_policy()
+    assert set(serial) == set(fanned) == {"coordinated", "uncoordinated"}
     for policy in serial:
         assert [r.stats() for r in serial[policy].results] \
             == [r.stats() for r in fanned[policy].results]

@@ -14,7 +14,9 @@ docs drift:
 3. **Doctested snippets** — every ````bash```` command in ``README.md``
    and ``docs/*.md`` exits 0, and every ````python```` block executes
    cleanly (run from the repo root with ``PYTHONPATH`` resolved; files a
-   snippet creates at top level are cleaned up afterwards).
+   snippet creates at top level are cleaned up afterwards, and the
+   ``/tmp/`` paths the docs write to are redirected into one temporary
+   directory that is removed when the run ends).
 4. **Examples** — every ``examples/*.py`` script smoke-executes
    (``--quick``).
 
@@ -33,6 +35,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -223,6 +226,11 @@ def bash_commands(body: str) -> list[str]:
     return commands
 
 
+def redirect_tmp(text: str, tmp_dir: str) -> str:
+    """Redirect a snippet's ``/tmp/`` paths into ``tmp_dir``."""
+    return text.replace("/tmp/", f"{tmp_dir}/")
+
+
 def snippet_env() -> dict[str, str]:
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
@@ -231,13 +239,14 @@ def snippet_env() -> dict[str, str]:
     return env
 
 
-def run_command(command: str, skip_slow: bool) -> None:
+def run_command(command: str, skip_slow: bool, tmp_dir: str) -> None:
     if skip_slow and "pytest" in command:
         print(f"  skip (slow): {command}")
         return
     # The docs write `PYTHONPATH=src ...` for copy-paste use; the env
     # already carries the resolved path, so drop the textual prefix.
-    executable = re.sub(r"^PYTHONPATH=\S+\s+", "", command)
+    executable = redirect_tmp(re.sub(r"^PYTHONPATH=\S+\s+", "", command),
+                              tmp_dir)
     before = set(REPO_ROOT.iterdir())
     result = subprocess.run(["bash", "-c", executable], cwd=REPO_ROOT,
                             env=snippet_env(), capture_output=True,
@@ -253,9 +262,10 @@ def run_command(command: str, skip_slow: bool) -> None:
         ok(command)
 
 
-def run_python_block(source: str, origin: str) -> None:
+def run_python_block(source: str, origin: str, tmp_dir: str) -> None:
     before = set(REPO_ROOT.iterdir())
-    result = subprocess.run([sys.executable, "-"], input=source,
+    result = subprocess.run([sys.executable, "-"],
+                            input=redirect_tmp(source, tmp_dir),
                             cwd=REPO_ROOT, env=snippet_env(),
                             capture_output=True, text=True)
     for leftover in set(REPO_ROOT.iterdir()) - before:
@@ -270,7 +280,7 @@ def run_python_block(source: str, origin: str) -> None:
         ok(f"python block in {origin} ({first} ...)")
 
 
-def check_snippets(skip_slow: bool, list_only: bool) -> None:
+def check_snippets(skip_slow: bool, list_only: bool, tmp_dir: str) -> None:
     """Execute every snippet once — identical commands/blocks shown in
     several pages are deduplicated (the heavy neighborhood runs appear in
     README and docs alike; one passing execution covers them all)."""
@@ -288,7 +298,7 @@ def check_snippets(skip_slow: bool, list_only: bool) -> None:
                     if list_only:
                         print(f"  would run: {command}")
                     else:
-                        run_command(command, skip_slow)
+                        run_command(command, skip_slow, tmp_dir)
             elif language == "python":
                 key = "\n".join(line.strip()
                                 for line in body.strip().splitlines())
@@ -300,21 +310,21 @@ def check_snippets(skip_slow: bool, list_only: bool) -> None:
                     first = body.strip().splitlines()[0]
                     print(f"  would exec python block ({first} ...)")
                 else:
-                    run_python_block(body, origin)
+                    run_python_block(body, origin, tmp_dir)
 
 
 # ---------------------------------------------------------------------------
 # 4. examples
 # ---------------------------------------------------------------------------
 
-def check_examples(list_only: bool) -> None:
+def check_examples(list_only: bool, tmp_dir: str) -> None:
     print("== examples ==")
     for script in sorted((REPO_ROOT / "examples").glob("*.py")):
         command = f"python {script.relative_to(REPO_ROOT)} --quick"
         if list_only:
             print(f"  would run: {command}")
         else:
-            run_command(command, skip_slow=False)
+            run_command(command, skip_slow=False, tmp_dir=tmp_dir)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -326,8 +336,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     check_links()
     check_api_docstrings()
-    check_snippets(args.skip_slow, args.list)
-    check_examples(args.list)
+    with tempfile.TemporaryDirectory(prefix="check-docs-") as tmp_dir:
+        check_snippets(args.skip_slow, args.list, tmp_dir)
+        check_examples(args.list, tmp_dir)
     if failures:
         print(f"\n{len(failures)} doc check(s) failed")
         return 1
