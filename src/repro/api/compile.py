@@ -234,7 +234,7 @@ def shard_sub_hashes(spec: ExperimentSpec, shards) -> dict[int, str]:
 
 
 def compile_shards(spec: ExperimentSpec, shard_size: Optional[int] = None,
-                   jobs: int = 1, transport: Optional[str] = None):
+                   jobs: int = 1):
     """Lower a neighborhood spec into its per-shard sub-specs.
 
     The fleet-scale lowering: :func:`compile_fleet` builds the full
@@ -247,4 +247,4 @@ def compile_shards(spec: ExperimentSpec, shard_size: Optional[int] = None,
     from repro.neighborhood.shard import plan_shards
     fleet = compile_fleet(spec)
     return plan_shards(fleet, until=spec.until_s, shard_size=shard_size,
-                       jobs=jobs, transport=transport)
+                       jobs=jobs)

@@ -230,24 +230,11 @@ def run(spec: ExperimentSpec, jobs: int = 1,
 
 
 def _execute(spec: ExperimentSpec, provenance: Provenance, jobs: int,
-             mp_context: Optional[str],
-             shard_size: Optional[int] = None) -> Result:
-    """Run a validated spec (the cache-miss path of :func:`run`).
-
-    A :class:`~repro.faults.plan.FaultPlan` on the spec is activated
-    for the duration of the execution (:func:`repro.faults.fault_scope`)
-    so the injection sites along the fleet paths see it; with no plan
-    (or all-zero rates) the scope is a no-op.
-    """
-    from repro.faults import fault_scope
-    with fault_scope(spec.faults):
-        return _execute_body(spec, provenance, jobs, mp_context,
-                             shard_size)
-
-
-def _execute_body(spec: ExperimentSpec, provenance: Provenance,
-                  jobs: int, mp_context: Optional[str],
-                  shard_size: Optional[int] = None) -> Result:
+             mp_context: Optional[str], shard_size: Optional[int],
+             shard_executor=None) -> Result:
+    """Run a validated spec: the cache-miss path of :func:`run`, and
+    of :func:`repro.service.worker.execute_job` with its checkpointing
+    ``shard_executor``.  Both callers hold the spec's fault scope."""
     from repro.experiments.runner import ParallelRunner
     if spec.kind in ("single", "sweep"):
         runner = ParallelRunner(jobs=jobs, mp_context=mp_context)
@@ -259,7 +246,8 @@ def _execute_body(spec: ExperimentSpec, provenance: Provenance,
         neighborhood = execute_fleet(
             fleet, jobs=jobs, until=spec.until_s, mp_context=mp_context,
             coordination=spec.fleet.coordination, spec=spec,
-            shard_size=shard_size, forecast=spec.forecast)
+            shard_size=shard_size, shard_executor=shard_executor,
+            forecast=spec.forecast)
         return Result(spec=spec, provenance=provenance,
                       neighborhood=neighborhood)
     if spec.kind == "grid":
@@ -269,7 +257,7 @@ def _execute_body(spec: ExperimentSpec, provenance: Provenance,
         payload = execute_grid(
             grid, jobs=jobs, until=spec.until_s, mp_context=mp_context,
             coordination=spec.grid.coordination, spec=spec,
-            shard_size=shard_size)
+            shard_size=shard_size, shard_executor=shard_executor)
         return Result(spec=spec, provenance=provenance, grid=payload)
     # artefact
     import inspect

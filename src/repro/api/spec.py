@@ -116,8 +116,9 @@ class ForecastPlan:
 
     Only valid on a ``neighborhood`` spec whose
     ``fleet.coordination`` is ``"online"`` — on any other shape it is
-    dead configuration and the validator rejects it.  Compiles to
-    :class:`repro.neighborhood.online.ForecastConfig` field for field.
+    dead configuration and the validator rejects it.  The online loop
+    takes it as is: :data:`repro.neighborhood.online.ForecastConfig` is
+    this class under its neighborhood-layer name.
     """
 
     forecaster: str = "oracle"

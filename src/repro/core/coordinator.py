@@ -103,11 +103,6 @@ class DeviceAgentBase:
         """Claimed slot position (grid mode), None when inactive."""
         return self._slot
 
-    @property
-    def next_burst(self) -> Optional[float]:
-        """Absolute start of the next claimed burst (stagger mode)."""
-        return self._next_burst
-
     # -- demand bookkeeping ----------------------------------------------------------
 
     def _enqueue_demand(self, request_id: int, cycles: int,

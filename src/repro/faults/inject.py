@@ -27,13 +27,13 @@ Activation
 ----------
 
 An injector is installed process-wide with :func:`fault_scope` (the
-execution layer wraps every spec run in one, see
-``repro.api.run._execute``); sites look it up with :func:`get_injector`
-— a single module-global read when no plan is active, which is why the
-disabled-injector overhead is unmeasurable (the ``faults`` bench group
-keeps it under 1%).  :func:`last_injector` keeps the most recent
-injector alive after the run so tests can inspect the realized
-schedule.
+execution layer wraps every spec run in one, see ``repro.api.run.run``
+and ``repro.service.worker.execute_job``); sites look it up with
+:func:`get_injector` — a single module-global read when no plan is
+active, which is why the disabled-injector overhead is unmeasurable
+(the ``faults`` bench group keeps it under 1%).  :func:`last_injector`
+keeps the most recent injector alive after the run so tests can
+inspect the realized schedule.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ and the whole pipeline stays bit-identical for any ``jobs`` count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.analysis.loadstats import LoadStats, load_stats
@@ -203,7 +203,6 @@ def execute_fleet(fleet: FleetSpec, jobs: int = 1,
                   feeder: Optional[FeederConfig] = None,
                   spec: Optional[object] = None,
                   shard_size: Optional[int] = None,
-                  transport: Optional[str] = None,
                   shard_executor=None,
                   forecast: Optional[object] = None) -> NeighborhoodResult:
     """Run every home of ``fleet`` (over ``jobs`` workers) and aggregate.
@@ -227,15 +226,16 @@ def execute_fleet(fleet: FleetSpec, jobs: int = 1,
     re-phased homes instead; ``"online"`` re-negotiates every CP epoch
     against predicted envelopes
     (:func:`~repro.neighborhood.online.coordinate_fleet_online`), with
-    ``forecast`` — a :class:`~repro.neighborhood.online.ForecastConfig`
-    or any object carrying its fields — selecting the forecaster.
+    ``forecast`` — a :class:`~repro.api.spec.ForecastPlan` (alias
+    :class:`~repro.neighborhood.online.ForecastConfig`) — selecting the
+    forecaster.
 
-    ``shard_size`` / ``transport`` tune the execution strategy (see
+    ``shard_size`` tunes the execution strategy (see
     :mod:`repro.neighborhood.shard`): every fleet runs as shards — each
     worker runs a whole sub-fleet, pre-reduces it locally and ships one
     batched series frame; ``shard_size=None`` sizes shards
-    automatically (a small in-process fleet is one shard).  Pure
-    execution knobs — results are bit-identical for every combination.
+    automatically (a small in-process fleet is one shard).  A pure
+    execution knob — results are bit-identical for every value.
 
     ``shard_executor`` swaps the per-shard worker body (see
     :func:`repro.neighborhood.shard.execute_shards`) — the service
@@ -245,7 +245,27 @@ def execute_fleet(fleet: FleetSpec, jobs: int = 1,
         known = ", ".join(COORDINATION_MODES)
         raise ValueError(
             f"coordination must be one of: {known}; got {coordination!r}")
-    horizon = until if until is not None else fleet.horizon
+    result, _ = _run_feeder(
+        fleet, until if until is not None else fleet.horizon, until, jobs,
+        mp_context, coordination, feeder, shard_size, shard_executor,
+        forecast=forecast)
+    result.spec = spec
+    return result
+
+
+def _run_feeder(fleet: FleetSpec, horizon: float, until: Optional[float],
+                jobs: int, mp_context: Optional[str], coordination: str,
+                feeder: Optional[FeederConfig], shard_size: Optional[int],
+                shard_executor, forecast: Optional[object] = None,
+                first_shard: int = 0) -> tuple[NeighborhoodResult, list]:
+    """Shard, execute and coordinate one feeder's fleet.
+
+    The one feeder path of :func:`execute_fleet` and of every feeder of
+    :func:`repro.neighborhood.grid.execute_grid` (which passes its grid
+    ``horizon``).  Shard indices start at ``first_shard`` so a grid's
+    checkpoint sub-addresses stay unique.  Returns the result (no
+    ``spec`` stamped) and the shard partials.
+    """
     # Coordinating runs ask the shard workers to pre-reduce each home's
     # phase envelope at the exact (snapped) bin the plane will negotiate
     # with, so the parent-side cost of coordination stays flat in N.
@@ -253,9 +273,10 @@ def execute_fleet(fleet: FleetSpec, jobs: int = 1,
     if coordination == "feeder":
         envelope_bin = snap_bin(
             horizon, (feeder or FeederConfig()).bin_s)
-    shards = plan_shards(fleet, until=until, shard_size=shard_size,
-                         jobs=jobs, transport=transport,
-                         envelope_bin_s=envelope_bin)
+    shards = [replace(shard, index=first_shard + shard.index)
+              for shard in plan_shards(fleet, until=until,
+                                       shard_size=shard_size, jobs=jobs,
+                                       envelope_bin_s=envelope_bin)]
     results, partials, home_stats, envelopes = execute_shards(
         shards, jobs=jobs, mp_context=mp_context, executor=shard_executor)
     plan = None
@@ -263,17 +284,7 @@ def execute_fleet(fleet: FleetSpec, jobs: int = 1,
         plan = coordinate_fleet(fleet, results, horizon, config=feeder,
                                 partials=partials, envelopes=envelopes)
     elif coordination == "online":
-        from repro.neighborhood.online import (
-            ForecastConfig,
-            coordinate_fleet_online,
-        )
-        if forecast is not None and not isinstance(forecast,
-                                                   ForecastConfig):
-            forecast = ForecastConfig(
-                forecaster=forecast.forecaster, noise=forecast.noise,
-                noise_seed=forecast.noise_seed,
-                ewma_alpha=forecast.ewma_alpha,
-                season_epochs=forecast.season_epochs)
+        from repro.neighborhood.online import coordinate_fleet_online
         plan = coordinate_fleet_online(fleet, results, horizon,
                                        config=feeder, forecast=forecast,
                                        partials=partials)
@@ -281,5 +292,4 @@ def execute_fleet(fleet: FleetSpec, jobs: int = 1,
         combine_partials(partials, [result.load_w for result in results])
     return NeighborhoodResult(fleet=fleet, homes=results, feeder_w=feeder_w,
                               horizon=horizon, coordination=plan,
-                              spec=spec, precomputed_home_stats=home_stats)
-
+                              precomputed_home_stats=home_stats), partials

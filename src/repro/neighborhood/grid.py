@@ -8,10 +8,10 @@ distributed residential-neighborhood scheduling, arXiv:2011.04338): a
 :func:`execute_grid` runs the whole tree with a **two-tier**
 coordination pass:
 
-1. **Feeder tier** — every feeder runs today's per-feeder CP rounds
-   (:func:`repro.neighborhood.coordination.coordinate_fleet`),
-   staggering its homes exactly as a single-feeder neighborhood run
-   would.  Shard workers pre-reduce each home's phase envelope locally
+1. **Feeder tier** — every feeder runs the one feeder runner behind
+   :func:`~repro.neighborhood.federation.execute_fleet`, staggering its
+   homes exactly as a neighborhood run would.  Shard workers pre-reduce
+   each home's phase envelope locally
    (:attr:`repro.neighborhood.shard.ShardSpec.envelope_bin_s`), so the
    parent never recomputes per-home envelopes.
 2. **Substation tier** — the *feeder-level* profiles become the unit
@@ -34,8 +34,8 @@ Determinism mirrors the single-feeder plane: feeder ``i`` of a grid
 builds with :func:`feeder_seed`, feeder 0 inheriting the root seed, so
 a flat single-feeder :class:`GridSpec` reproduces the ``neighborhood``
 spec kind bit for bit, and every execution knob (``jobs``,
-``shard_size``, ``transport``, executor) is a pure strategy that never
-changes result bits.
+``shard_size``, shard executor) is a pure strategy that never changes
+result bits.
 """
 
 from __future__ import annotations
@@ -56,13 +56,10 @@ from repro.neighborhood.coordination import (
     FeederConfig,
     FeederCoordination,
     _default_epoch,
-    coordinate_fleet,
     coordinate_profiles,
-    snap_bin,
 )
-from repro.neighborhood.federation import NeighborhoodResult
+from repro.neighborhood.federation import NeighborhoodResult, _run_feeder
 from repro.neighborhood.fleet import FleetSpec, build_fleet
-from repro.neighborhood.shard import execute_shards, plan_shards
 from repro.sim.monitor import StepSeries
 
 #: How the grid's tiers coordinate: ``"independent"`` (no negotiation
@@ -312,17 +309,16 @@ def execute_grid(grid: GridSpec, jobs: int = 1,
                  feeder: Optional[FeederConfig] = None,
                  spec: Optional[object] = None,
                  shard_size: Optional[int] = None,
-                 transport: Optional[str] = None,
                  shard_executor=None) -> GridResult:
     """Run every feeder of ``grid`` and aggregate up to the substation.
 
     The grid execution primitive the spec API bottoms out in
     (:func:`repro.api.run.run` compiles a ``grid`` spec and calls
-    here).  Every feeder runs on the fleet shard path — including
-    worker-side envelope pre-reduction when a tier will coordinate —
-    with shard indices renumbered *globally* across feeders so
-    service-plane checkpoint sub-addresses
-    (:func:`repro.api.compile.shard_sub_hash`) stay unique.
+    here).  Every feeder runs :func:`~repro.neighborhood.federation
+    .execute_fleet`'s feeder runner, with shard indices numbered
+    *globally* across feeders so service-plane checkpoint
+    sub-addresses (:func:`repro.api.compile.shard_sub_hash`) stay
+    unique.
 
     ``coordination`` is one of :data:`GRID_COORDINATION_MODES`; the
     optional ``feeder`` :class:`FeederConfig` tunes both tiers (the
@@ -337,43 +333,23 @@ def execute_grid(grid: GridSpec, jobs: int = 1,
             f"coordination must be one of: {known}; got {coordination!r}")
     config = feeder if feeder is not None else FeederConfig()
     horizon = until if until is not None else grid.horizon
-    envelope_bin = snap_bin(horizon, config.bin_s) \
-        if coordination != "independent" else None
+    feeder_mode = "independent" if coordination == "independent" else "feeder"
 
     feeder_results: list[NeighborhoodResult] = []
     all_partials: list[object] = []
-    all_series: list[StepSeries] = []
-    next_shard_index = 0
     for fleet in grid.feeders:
-        shards = [replace(shard, index=next_shard_index + offset)
-                  for offset, shard in enumerate(plan_shards(
-                      fleet, until=until, shard_size=shard_size,
-                      jobs=jobs, transport=transport,
-                      envelope_bin_s=envelope_bin))]
-        next_shard_index += len(shards)
-        results, partials, home_stats, envelopes = execute_shards(
-            shards, jobs=jobs, mp_context=mp_context,
-            executor=shard_executor)
-        series = [one.load_w for one in results]
+        result, partials = _run_feeder(
+            fleet, horizon, until, jobs, mp_context, feeder_mode, config,
+            shard_size, shard_executor, first_shard=len(all_partials))
+        feeder_results.append(result)
         all_partials.extend(partials)
-        all_series.extend(series)
-        plan = None
-        if coordination != "independent":
-            plan = coordinate_fleet(fleet, results, horizon,
-                                    config=config, partials=partials,
-                                    envelopes=envelopes)
-        feeder_results.append(NeighborhoodResult(
-            fleet=fleet, homes=results,
-            feeder_w=plan.coordinated_w if plan is not None
-            else combine_partials(partials, series),
-            horizon=horizon, coordination=plan,
-            precomputed_home_stats=home_stats))
 
     # The fully-independent substation profile folds from *all* shard
     # partials at once: partition-invariant, so any feeder grouping or
     # shard size yields the exact fsum of every home series.
-    independent_w = combine_partials(all_partials, all_series,
-                                     name="substation")
+    independent_w = combine_partials(
+        all_partials, [home.load_w for result in feeder_results
+                       for home in result.homes], name="substation")
     substation_plan = None
     if coordination == "independent":
         substation_w = independent_w

@@ -70,6 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro.api.spec import ForecastPlan
 from repro.core.system import RunResult
 from repro.neighborhood.aggregate import combine_partials, sum_series
 from repro.neighborhood.coordination import (
@@ -90,25 +91,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.neighborhood.fleet import FleetSpec
 
 
-@dataclass(frozen=True)
-class ForecastConfig:
-    """Forecaster selection + knobs for an online coordination run.
-
-    The neighborhood-layer twin of :class:`repro.api.spec.ForecastPlan`
-    (the spec API converts one to the other), defaulting to the oracle
-    with no noise — the uplift-ceiling configuration.
-    """
-
-    #: one of :data:`repro.forecast.FORECASTERS`
-    forecaster: str = "oracle"
-    #: multiplicative per-bin noise amplitude (0 = exact predictions)
-    noise: float = 0.0
-    #: root seed of the noise streams (named per home and window)
-    noise_seed: int = 1
-    #: EWMA weight for the ``"ewma"`` forecaster
-    ewma_alpha: float = 0.5
-    #: season length, in epochs, for the ``"seasonal"`` forecaster
-    season_epochs: int = 1
+#: Forecaster selection + knobs for an online coordination run: the
+#: spec API's :class:`~repro.api.spec.ForecastPlan` itself, defaulting
+#: to the oracle with no noise — the uplift-ceiling configuration.
+ForecastConfig = ForecastPlan
 
 
 @dataclass(frozen=True)

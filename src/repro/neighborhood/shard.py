@@ -17,10 +17,12 @@ step *per home*; sharding cuts the work so every unit is a contiguous
 * per-home series travel as **one batched frame per shard**
   (:mod:`repro.neighborhood.transport`) instead of N per-home pickles.
 
+Every feeder — a ``neighborhood`` spec or one feeder of a ``grid`` —
+shards here, through :mod:`repro.neighborhood.federation`'s runner.
 Sharding is an execution strategy, never an experiment parameter:
-results are bit-identical for every ``(shard_size, jobs, transport)``
-combination — the feeder profile is the correctly rounded per-event sum
-regardless of partitioning (see
+results are bit-identical for every ``(shard_size, jobs)`` combination
+and either wire format — the feeder profile is the correctly rounded
+per-event sum regardless of partitioning (see
 :func:`~repro.neighborhood.aggregate.combine_partials`), and home runs
 are independently seeded.  ``tests/test_fleet_sharding.py`` locks the
 invariance by digest.
@@ -104,7 +106,6 @@ def shard_fleet(fleet: FleetSpec, shard_size: int) -> list[FleetSpec]:
 
 def plan_shards(fleet: FleetSpec, until: Optional[float] = None,
                 shard_size: Optional[int] = None, jobs: int = 1,
-                transport: Optional[str] = None,
                 envelope_bin_s: Optional[float] = None,
                 ) -> list[ShardSpec]:
     """Decide the shard layout for one fleet run.
@@ -114,8 +115,8 @@ def plan_shards(fleet: FleetSpec, until: Optional[float] = None,
     fleet is one shard; across processes ``jobs``-aware so every worker
     sees several shards (load balancing, same policy as
     :func:`repro.experiments.pool.dispatch_chunksize`).  Any value
-    ``>= 1`` is used as given.  ``transport`` overrides the wire format
-    for cross-process shards.
+    ``>= 1`` is used as given.  Cross-process shards use the wire format
+    :func:`~repro.neighborhood.transport.pick_transport` resolves.
 
     ``envelope_bin_s`` (a bin width already snapped to the horizon —
     see :func:`repro.neighborhood.coordination.snap_bin`) asks the shard
@@ -139,7 +140,7 @@ def plan_shards(fleet: FleetSpec, until: Optional[float] = None,
     wire = None
     if not in_process:
         from repro.neighborhood.transport import pick_transport
-        wire = pick_transport(transport)
+        wire = pick_transport()
     return [ShardSpec(index=index, fleet=sub_fleet, until=until,
                       horizon=horizon, transport=wire,
                       envelope_bin_s=envelope_bin_s)

@@ -213,11 +213,6 @@ class Channel:
         return (self.rx_power_dbm_rows[src][dst]
                 >= self.config.sensitivity_dbm)
 
-    def carrier_sensed(self, src: int, dst: int) -> bool:
-        """True when ``dst``'s CCA would report busy while ``src`` sends."""
-        return (self.rx_power_dbm_rows[src][dst]
-                >= self.config.cca_threshold_dbm)
-
     def snr_db(self, src: int, dst: int) -> float:
         """Interference-free signal-to-noise ratio of the link."""
         return self.rx_power_dbm(src, dst) - self.config.noise_floor_dbm

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from repro.api.cache import ResultCache
-from repro.api.compile import compile_fleet, shard_sub_hash
+from repro.api.compile import shard_sub_hash
 from repro.api.run import Result, _execute, provenance_of
 from repro.api.spec import ExperimentSpec
 from repro.api.validate import validate
@@ -148,45 +148,24 @@ def execute_job(spec: ExperimentSpec, cache: Optional[ResultCache] = None,
     """Execute one leased spec exactly as ``run(spec)`` would.
 
     The worker-side twin of the :func:`repro.api.run.run` cache-miss
-    path: validate, stamp provenance, execute.  With a ``cache`` (the
-    store's artifact cache), neighborhood and grid kinds run with the
-    per-shard checkpointing executor (see module docstring) so crashed
-    attempts resume at shard granularity — grid shard indices are
-    globally renumbered across feeders
+    path: validate, stamp provenance, then the same
+    :func:`repro.api.run._execute`.  With a ``cache`` (the store's
+    artifact cache), neighborhood and grid kinds run with the per-shard
+    checkpointing executor (see module docstring) so crashed attempts
+    resume at shard granularity — grid shard indices are numbered
+    globally across feeders
     (:func:`repro.neighborhood.grid.execute_grid`), so every shard of
     every feeder gets its own checkpoint sub-address.
     """
     validate(spec)
     provenance = provenance_of(spec)
+    executor = None
+    if cache is not None:
+        executor = functools.partial(_checkpointed_shard, cache=cache,
+                                     parent=provenance.spec_hash)
     with fault_scope(spec.faults):
-        if spec.kind == "neighborhood" and cache is not None:
-            from repro.neighborhood.federation import execute_fleet
-            executor = functools.partial(
-                _checkpointed_shard, cache=cache,
-                parent=provenance.spec_hash)
-            fleet = compile_fleet(spec)
-            neighborhood = execute_fleet(
-                fleet, jobs=jobs, until=spec.until_s,
-                mp_context=mp_context,
-                coordination=spec.fleet.coordination, spec=spec,
-                shard_size=shard_size, shard_executor=executor,
-                forecast=spec.forecast)
-            return Result(spec=spec, provenance=provenance,
-                          neighborhood=neighborhood)
-        if spec.kind == "grid" and cache is not None:
-            from repro.api.compile import compile_grid
-            from repro.neighborhood.grid import execute_grid
-            executor = functools.partial(
-                _checkpointed_shard, cache=cache,
-                parent=provenance.spec_hash)
-            grid = compile_grid(spec)
-            payload = execute_grid(
-                grid, jobs=jobs, until=spec.until_s,
-                mp_context=mp_context,
-                coordination=spec.grid.coordination, spec=spec,
-                shard_size=shard_size, shard_executor=executor)
-            return Result(spec=spec, provenance=provenance, grid=payload)
-        return _execute(spec, provenance, jobs, mp_context, shard_size)
+        return _execute(spec, provenance, jobs, mp_context, shard_size,
+                        shard_executor=executor)
 
 
 class WorkerDaemon:

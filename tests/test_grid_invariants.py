@@ -197,6 +197,20 @@ def test_feeder_seed_zero_inherits_the_root():
     assert len(derived) == 7 and 123 not in derived
 
 
+def assert_feeder_matches_fleet(feeder, flat, coordination):
+    """One grid feeder equals ``execute_fleet`` on its fleet, bit for bit."""
+    assert series_bits(feeder.feeder_w) == series_bits(flat.feeder_w)
+    assert len(feeder.homes) == len(flat.homes)
+    for grid_home, flat_home in zip(feeder.homes, flat.homes):
+        assert series_bits(grid_home.load_w) == \
+            series_bits(flat_home.load_w)
+    if coordination == "feeder":
+        assert feeder.coordination.offsets_s == \
+            flat.coordination.offsets_s
+    else:
+        assert feeder.coordination is None and flat.coordination is None
+
+
 @pytest.mark.parametrize("coordination", ["independent", "feeder"])
 def test_flat_single_feeder_grid_matches_neighborhood(coordination):
     fleet = build_fleet(4, seed=9, cp_fidelity="ideal", horizon=HORIZON)
@@ -205,13 +219,18 @@ def test_flat_single_feeder_grid_matches_neighborhood(coordination):
     flat = execute_fleet(fleet, coordination=coordination)
     nested = execute_grid(grid, coordination=coordination)
     [feeder] = nested.feeders
-    assert series_bits(feeder.feeder_w) == series_bits(flat.feeder_w)
-    for grid_home, flat_home in zip(feeder.homes, flat.homes):
-        assert series_bits(grid_home.load_w) == \
-            series_bits(flat_home.load_w)
-    if coordination == "feeder":
-        assert feeder.coordination.offsets_s == \
-            flat.coordination.offsets_s
+    assert_feeder_matches_fleet(feeder, flat, coordination)
+
+    # Every feeder of a multi-feeder grid — sharded, so its shards are
+    # numbered globally across feeders — equals the neighborhood run of
+    # its own fleet.
+    grid = build_grid([{"homes": 3, "mix": mix} for mix in MIXES],
+                      seed=9, cp_fidelity="ideal", horizon=HORIZON)
+    nested = execute_grid(grid, coordination=coordination, shard_size=2)
+    assert nested.n_feeders == len(MIXES)
+    for fleet, feeder in zip(grid.feeders, nested.feeders):
+        flat = execute_fleet(fleet, coordination=coordination)
+        assert_feeder_matches_fleet(feeder, flat, coordination)
 
 
 def test_substation_mode_with_one_feeder_equals_feeder_mode():

@@ -231,11 +231,17 @@ def redirect_tmp(text: str, tmp_dir: str) -> str:
     return text.replace("/tmp/", f"{tmp_dir}/")
 
 
-def snippet_env() -> dict[str, str]:
+def snippet_env(tmp_dir: str) -> dict[str, str]:
+    """The snippet environment: ``src`` on the path, and the result
+    cache and service store inside ``tmp_dir`` — a snippet such as
+    ``repro cache clear`` must never touch the developer's real
+    ``~/.cache/repro`` or ``~/.cache/repro-service``."""
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = f"{src}:{existing}" if existing else src
+    env["REPRO_CACHE_DIR"] = f"{tmp_dir}/repro-cache"
+    env["REPRO_SERVICE_STORE"] = f"{tmp_dir}/repro-service"
     return env
 
 
@@ -249,7 +255,7 @@ def run_command(command: str, skip_slow: bool, tmp_dir: str) -> None:
                               tmp_dir)
     before = set(REPO_ROOT.iterdir())
     result = subprocess.run(["bash", "-c", executable], cwd=REPO_ROOT,
-                            env=snippet_env(), capture_output=True,
+                            env=snippet_env(tmp_dir), capture_output=True,
                             text=True)
     for leftover in set(REPO_ROOT.iterdir()) - before:
         if leftover.is_file():
@@ -266,7 +272,7 @@ def run_python_block(source: str, origin: str, tmp_dir: str) -> None:
     before = set(REPO_ROOT.iterdir())
     result = subprocess.run([sys.executable, "-"],
                             input=redirect_tmp(source, tmp_dir),
-                            cwd=REPO_ROOT, env=snippet_env(),
+                            cwd=REPO_ROOT, env=snippet_env(tmp_dir),
                             capture_output=True, text=True)
     for leftover in set(REPO_ROOT.iterdir()) - before:
         if leftover.is_file():
