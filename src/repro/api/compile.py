@@ -29,7 +29,7 @@ import importlib
 from dataclasses import replace
 from typing import Callable, Optional
 
-from repro.api.spec import ExperimentSpec, ScenarioSpec
+from repro.api.spec import SCHEMA, ControlSpec, ExperimentSpec, ScenarioSpec
 from repro.core.system import HanConfig
 from repro.workloads.scenarios import SCENARIO_PRESETS, Scenario
 
@@ -55,8 +55,9 @@ ARTEFACTS: dict[str, tuple[str, str]] = {
     "nbhd-online": ("repro.experiments.ablations", "online_uplift"),
 }
 
-#: ScenarioSpec field → Scenario field (identical units).
-_SCENARIO_FIELD_MAP = {
+#: ScenarioSpec field → Scenario field (identical units); the inverse
+#: lowering is :func:`repro.api.spec.spec_from_scenario`.
+SCENARIO_FIELDS = {
     "name": "name",
     "n_devices": "n_devices",
     "device_power_w": "device_power_w",
@@ -89,11 +90,16 @@ def compile_scenario(spec: ScenarioSpec) -> Scenario:
         base = Scenario(name=spec.name if spec.name is not None
                         else "custom")
     overrides = {}
-    for spec_field, scenario_field in _SCENARIO_FIELD_MAP.items():
+    for spec_field, scenario_field in SCENARIO_FIELDS.items():
         value = getattr(spec, spec_field)
         if value is not None:
             overrides[scenario_field] = value
     return replace(base, **overrides) if overrides else base
+
+
+#: ControlSpec fields named differently on HanConfig (every other
+#: ControlSpec field is the HanConfig field of the same name).
+CONFIG_RENAMES = {"topology": "topology_name"}
 
 
 def compile_config(spec: ExperimentSpec, seed: int,
@@ -105,22 +111,15 @@ def compile_config(spec: ExperimentSpec, seed: int,
     compiler, which re-rates the scenario and varies the policy per
     cell).  Exact inverse of :func:`repro.api.spec.spec_from_config`.
     """
-    control = spec.control
+    control = {CONFIG_RENAMES.get(spec_field.name, spec_field.name):
+               getattr(spec.control, spec_field.name)
+               for spec_field in SCHEMA[ControlSpec]}
+    if policy is not None:
+        control["policy"] = policy
     return HanConfig(
         scenario=scenario if scenario is not None
         else compile_scenario(spec.scenario),
-        policy=policy if policy is not None else control.policy,
-        cp_fidelity=control.cp_fidelity,
-        cp_period=control.cp_period,
-        seed=seed,
-        topology_name=control.topology,
-        refresh_every=control.refresh_every,
-        calibration_rounds=control.calibration_rounds,
-        shadowing_sigma_db=control.shadowing_sigma_db,
-        path_loss_exponent=control.path_loss_exponent,
-        ci_derating=control.ci_derating,
-        aggregation=control.aggregation,
-        controller_id=control.controller_id)
+        seed=seed, **control)
 
 
 def compile_run_specs(spec: ExperimentSpec) -> list:
@@ -194,11 +193,7 @@ def compile_grid(spec: ExperimentSpec):
     if spec.grid is None:
         raise ValueError(f"spec {spec.name!r} has no grid section")
     from repro.neighborhood.grid import build_grid
-    plans = [{"homes": feeder.homes, "mix": feeder.mix,
-              "rate_jitter": feeder.rate_jitter,
-              "size_jitter": feeder.size_jitter}
-             for feeder in spec.grid.feeders]
-    return build_grid(plans, seed=spec.seeds[0],
+    return build_grid(spec.grid.feeders, seed=spec.seeds[0],
                       policy=spec.control.policy,
                       cp_fidelity=spec.control.cp_fidelity,
                       horizon=spec.scenario.horizon_s,

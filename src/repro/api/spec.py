@@ -26,20 +26,24 @@ Layout of the tree::
     ├── sweep:    SweepSpec      (sweep runs only)
     └── artefact: ArtefactSpec   (registry artefacts only)
 
+Each section dataclass is the one place its fields' names, types and
+defaults are written: :data:`SCHEMA` derives them once from the
+dataclass, and the validator, the serializer and the compiler read it.
+
 Every field carries the same units as its compiled counterpart (seconds,
 watts), so compiling a spec and re-deriving a spec from the compiled
-object (:func:`spec_from_config`) are exact inverses — the property the
-deprecation-shim equivalence tests pin down.
+object (:func:`spec_from_config`) are exact inverses.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import typing
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping, Optional
 
-from repro.faults.plan import RATE_FIELDS, FaultPlan
+from repro.faults.plan import FaultPlan
 
 #: Version of the serialized layout; bumped on incompatible changes so a
 #: stored spec is never silently misread.
@@ -232,13 +236,9 @@ class ExperimentSpec:
             "schema_version": self.schema_version,
             "name": self.name,
             "kind": self.kind,
-            "scenario": _section_to_dict(self.scenario),
-            "control": _section_to_dict(self.control),
             "seeds": list(self.seeds),
             "until_s": float(self.until_s)
             if self.until_s is not None else None,
-            "fleet": _section_to_dict(self.fleet)
-            if self.fleet is not None else None,
             "grid": {"feeders": [_section_to_dict(feeder)
                                  for feeder in self.grid.feeders],
                      "coordination": self.grid.coordination}
@@ -250,10 +250,12 @@ class ExperimentSpec:
                          "params": dict(self.artefact.params)}
             if self.artefact is not None else None,
         }
-        if self.forecast is not None:
-            out["forecast"] = _section_to_dict(self.forecast)
-        if self.faults is not None:
-            out["faults"] = _section_to_dict(self.faults)
+        for name in SECTIONS:
+            section = getattr(self, name)
+            if section is not None:
+                out[name] = _section_to_dict(section)
+            elif name not in _POST_V1_SECTIONS:
+                out[name] = None
         return out
 
     def to_json(self, indent: Optional[int] = 2) -> str:
@@ -271,49 +273,35 @@ class ExperimentSpec:
         """
         from repro.api.validate import validate_data
         validate_data(data)
-        scenario = ScenarioSpec(**_coerced(data.get("scenario", {}),
-                                           ScenarioSpec))
-        control = ControlSpec(**_coerced(data.get("control", {}),
-                                         ControlSpec))
-        fleet = FleetPlan(**_coerced(data["fleet"], FleetPlan)) \
-            if data.get("fleet") is not None else None
-        forecast = ForecastPlan(**_coerced(data["forecast"],
-                                           ForecastPlan)) \
-            if data.get("forecast") is not None else None
-        faults = FaultPlan(**_coerced(data["faults"], FaultPlan)) \
-            if data.get("faults") is not None else None
+        top = {name: data[name] for name in ("kind", "schema_version")
+               if name in data}
+        if "seeds" in data:
+            top["seeds"] = tuple(data["seeds"])
+        if data.get("until_s") is not None:
+            top["until_s"] = float(data["until_s"])
+        sections = {name: _load_section(section_cls, data[name])
+                    for name, section_cls in SECTIONS.items()
+                    if data.get(name) is not None}
         grid_data = data.get("grid")
-        grid = GridPlan(
-            feeders=tuple(FeederPlan(**_coerced(feeder, FeederPlan))
-                          for feeder in grid_data["feeders"]),
-            coordination=grid_data.get("coordination",
-                                       GridPlan.coordination)) \
-            if grid_data is not None else None
+        if grid_data is not None:
+            sections["grid"] = GridPlan(
+                feeders=tuple(_load_section(FeederPlan, feeder)
+                              for feeder in grid_data["feeders"]),
+                coordination=grid_data.get("coordination",
+                                           GridPlan.coordination))
         sweep_data = data.get("sweep")
-        sweep = SweepSpec(rates=tuple(float(rate) for rate
-                                      in sweep_data.get("rates", ())),
-                          policies=tuple(sweep_data.get(
-                              "policies",
-                              SweepSpec.policies))) \
-            if sweep_data is not None else None
+        if sweep_data is not None:
+            sections["sweep"] = SweepSpec(
+                rates=tuple(float(rate) for rate
+                            in sweep_data.get("rates", SweepSpec.rates)),
+                policies=tuple(sweep_data.get("policies",
+                                              SweepSpec.policies)))
         artefact_data = data.get("artefact")
-        artefact = ArtefactSpec(kind=artefact_data["kind"],
-                                params=dict(artefact_data.get("params",
-                                                              {}))) \
-            if artefact_data is not None else None
-        until_s = data.get("until_s")
-        return cls(name=data["name"],
-                   kind=data.get("kind", "single"),
-                   scenario=scenario,
-                   control=control,
-                   seeds=tuple(data.get("seeds", (1,))),
-                   until_s=float(until_s) if until_s is not None
-                   else None,
-                   fleet=fleet, forecast=forecast, faults=faults,
-                   grid=grid, sweep=sweep,
-                   artefact=artefact,
-                   schema_version=data.get("schema_version",
-                                           SCHEMA_VERSION))
+        if artefact_data is not None:
+            sections["artefact"] = ArtefactSpec(
+                kind=artefact_data["kind"],
+                params=dict(artefact_data.get("params", {})))
+        return cls(name=data["name"], **top, **sections)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
@@ -339,54 +327,82 @@ class ExperimentSpec:
                                                    params=merged))
 
 
-def _section_to_dict(section) -> Optional[dict]:
+@dataclass(frozen=True)
+class FieldSchema:
+    """One field of a flat section, exactly as its dataclass declares it."""
+
+    name: str
+    #: ``int``, ``float`` or ``str``: the annotation minus ``Optional``
+    type: type
+    default: Any
+    #: whether the annotation is ``Optional`` (``null`` is a valid value)
+    nullable: bool
+
+
+def _flat_schema(section_cls) -> tuple[FieldSchema, ...]:
+    hints = typing.get_type_hints(section_cls)
+    schema = []
+    for section_field in fields(section_cls):
+        hint = hints[section_field.name]
+        members = typing.get_args(hint)
+        nullable = type(None) in members
+        if nullable:
+            (hint,) = (member for member in members
+                       if member is not type(None))
+        schema.append(FieldSchema(section_field.name, hint,
+                                  section_field.default, nullable))
+    return tuple(schema)
+
+
+#: The flat sections of a spec, by key (``grid.feeders`` entries are the
+#: flat :class:`FeederPlan`).
+SECTIONS = {
+    "scenario": ScenarioSpec,
+    "control": ControlSpec,
+    "fleet": FleetPlan,
+    "forecast": ForecastPlan,
+    "faults": FaultPlan,
+}
+
+#: Flat section dataclass → the schema of its fields, derived once from
+#: the dataclass.  The validator, the serializer and the compiler all
+#: read this; no module restates a field's name, type or default.
+SCHEMA = {section_cls: _flat_schema(section_cls)
+          for section_cls in (*SECTIONS.values(), FeederPlan)}
+
+#: Sections serialized only when set (see
+#: :meth:`ExperimentSpec.to_dict`).
+_POST_V1_SECTIONS = ("forecast", "faults")
+
+
+def _section_to_dict(section) -> dict:
     """Flat dataclass section → plain dict (helper for :meth:`to_dict`).
 
     Float-typed fields are coerced to ``float`` so the canonical form is
     type-stable: a document writing ``1800`` and one writing ``1800.0``
     describe the same experiment and must hash identically.
     """
-    if section is None:
-        return None
-    float_fields = _FLOAT_FIELDS.get(type(section), ())
     out = {}
-    for section_field in fields(section):
-        value = getattr(section, section_field.name)
-        if section_field.name in float_fields and value is not None:
+    for spec_field in SCHEMA[type(section)]:
+        value = getattr(section, spec_field.name)
+        if spec_field.type is float and value is not None:
             value = float(value)
-        out[section_field.name] = value
+        out[spec_field.name] = value
     return out
 
 
-def _coerced(data: Mapping[str, Any], section_cls) -> dict:
-    """A copy of raw section data with float fields coerced to float.
+def _load_section(section_cls, data: Mapping[str, Any]):
+    """Build a flat section from validated raw data, floats coerced.
 
-    Applied on load (:meth:`ExperimentSpec.from_dict`) so int-written
-    and float-written documents build *identical* spec objects, not just
-    identically-hashing ones.
+    Int-written and float-written documents build *identical* spec
+    objects, not just identically-hashing ones.
     """
-    out = dict(data)
-    for name in _FLOAT_FIELDS.get(section_cls, ()):
-        if out.get(name) is not None:
-            out[name] = float(out[name])
-    return out
-
-
-#: Float-typed section fields, coerced on both load and serialization so
-#: int-written JSON (``"cp_period": 2``) builds and hashes identically
-#: to float-written JSON (``"cp_period": 2.0``).  Integer-typed fields
-#: need no mapping — the validator already rejects non-int values for
-#: them.
-_FLOAT_FIELDS = {
-    ScenarioSpec: ("device_power_w", "min_dcd_s", "max_dcp_s",
-                   "rate_per_hour", "horizon_s"),
-    ControlSpec: ("cp_period", "shadowing_sigma_db",
-                  "path_loss_exponent", "ci_derating"),
-    FleetPlan: ("rate_jitter", "size_jitter"),
-    FeederPlan: ("rate_jitter", "size_jitter"),
-    ForecastPlan: ("noise", "ewma_alpha"),
-    FaultPlan: RATE_FIELDS,
-}
+    values = dict(data)
+    for spec_field in SCHEMA[section_cls]:
+        if spec_field.type is float and values.get(spec_field.name) \
+                is not None:
+            values[spec_field.name] = float(values[spec_field.name])
+    return section_cls(**values)
 
 
 def canonical_json(spec: ExperimentSpec) -> str:
@@ -415,19 +431,10 @@ def spec_from_scenario(scenario) -> ScenarioSpec:
     Uses no preset — every field is written out — so compiling the
     returned spec reproduces ``scenario`` exactly.
     """
-    return ScenarioSpec(
-        preset=None,
-        name=scenario.name,
-        n_devices=scenario.n_devices,
-        device_power_w=scenario.device_power_w,
-        min_dcd_s=scenario.min_dcd,
-        max_dcp_s=scenario.max_dcp,
-        rate_per_hour=scenario.arrival_rate_per_hour,
-        horizon_s=scenario.horizon,
-        demand_cycles=scenario.demand_cycles,
-        arrival=scenario.arrival_kind,
-        batch_size=scenario.batch_size,
-        notes=scenario.notes)
+    from repro.api.compile import SCENARIO_FIELDS
+    return ScenarioSpec(preset=None, **{
+        spec_field: getattr(scenario, scenario_field)
+        for spec_field, scenario_field in SCENARIO_FIELDS.items()})
 
 
 def spec_from_config(config, until: Optional[float] = None,
@@ -438,18 +445,11 @@ def spec_from_config(config, until: Optional[float] = None,
     hand-built config runs through the spec API via this, and the
     equivalence test asserts the round trip is bit-identical.
     """
-    control = ControlSpec(
-        policy=config.policy,
-        cp_fidelity=config.cp_fidelity,
-        cp_period=config.cp_period,
-        topology=config.topology_name,
-        refresh_every=config.refresh_every,
-        calibration_rounds=config.calibration_rounds,
-        shadowing_sigma_db=config.shadowing_sigma_db,
-        path_loss_exponent=config.path_loss_exponent,
-        ci_derating=config.ci_derating,
-        aggregation=config.aggregation,
-        controller_id=config.controller_id)
+    from repro.api.compile import CONFIG_RENAMES
+    control = ControlSpec(**{
+        spec_field.name: getattr(config, CONFIG_RENAMES.get(
+            spec_field.name, spec_field.name))
+        for spec_field in SCHEMA[ControlSpec]})
     return ExperimentSpec(
         name=name if name is not None else config.scenario.name,
         kind="single",

@@ -10,14 +10,38 @@ Validation runs on the *raw dict* (:func:`validate_data`, called by
 built) and again structurally on constructed specs (:func:`validate`,
 called by :func:`repro.api.run.run` so hand-built trees get the same
 checks as loaded JSON).
+
+Every flat section (``scenario``, ``control``, ``fleet``, ``forecast``,
+``faults`` and each ``grid.feeders[i]``) is checked by one walker over
+its dataclass's schema (:data:`repro.api.spec.SCHEMA`: keys, types,
+nullability, defaults) plus :data:`FIELD_RULES`, which holds only what
+a dataclass cannot say: bounds, choice lists and message nouns.
 """
 
 from __future__ import annotations
 
 import difflib
+import importlib
+import math
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Any, Mapping, Optional, Sequence
 
-from repro.api.spec import KINDS, SCHEMA_VERSION
+from repro.api.spec import (
+    KINDS,
+    SCHEMA,
+    SCHEMA_VERSION,
+    ArtefactSpec,
+    ControlSpec,
+    ExperimentSpec,
+    FeederPlan,
+    FleetPlan,
+    ForecastPlan,
+    GridPlan,
+    ScenarioSpec,
+    SweepSpec,
+)
+from repro.faults.plan import RATE_FIELDS, FaultPlan
 
 
 class SpecError(ValueError):
@@ -27,6 +51,83 @@ class SpecError(ValueError):
         self.path = path
         self.message = message
         super().__init__(f"{path}: {message}" if path else message)
+
+
+@dataclass(frozen=True)
+class FieldRule:
+    """What a section dataclass cannot say about one of its fields.
+
+    ``choices`` names the ``(module, attribute)`` holding the allowed
+    values of a string field, imported on first use so the spec layer
+    stays import-light and cycle-free; ``noun`` is what messages call
+    a value of the field (``unknown preset 'x'``, ``must be <= 1 (a
+    probability)``).
+    """
+
+    minimum: Optional[float] = None
+    maximum: Optional[float] = None
+    choices: Optional[tuple[str, str]] = None
+    noun: Optional[str] = None
+
+    @cached_property
+    def known(self) -> Sequence[str]:
+        """The allowed values of a ``choices`` field."""
+        module, attribute = self.choices
+        return getattr(importlib.import_module(module), attribute)
+
+
+_SCENARIOS = "repro.workloads.scenarios"
+_SYSTEM = "repro.core.system"
+
+#: Field name → its rule, shared by every flat section declaring the
+#: field (``fleet`` and each ``grid.feeders[i]`` share their build
+#: knobs).  A number without an entry must be non-negative.
+FIELD_RULES = {
+    **dict.fromkeys(("n_devices", "demand_cycles", "batch_size",
+                     "refresh_every", "calibration_rounds", "aggregation",
+                     "homes", "season_epochs", "max_delay_epochs"),
+                    FieldRule(minimum=1)),
+    "cp_period": FieldRule(minimum=1e-9),
+    "ewma_alpha": FieldRule(minimum=0, maximum=1),
+    **dict.fromkeys(RATE_FIELDS,
+                    FieldRule(minimum=0, maximum=1, noun="a probability")),
+    "preset": FieldRule(choices=(_SCENARIOS, "SCENARIO_PRESETS"),
+                        noun="preset"),
+    "arrival": FieldRule(choices=(_SCENARIOS, "ARRIVAL_KINDS"),
+                         noun="arrival kind"),
+    "policy": FieldRule(choices=(_SYSTEM, "POLICIES"), noun="policy"),
+    "cp_fidelity": FieldRule(choices=(_SYSTEM, "FIDELITIES"),
+                             noun="CP fidelity"),
+    "topology": FieldRule(choices=(_SYSTEM, "TOPOLOGIES"),
+                          noun="topology"),
+    "mix": FieldRule(choices=(_SCENARIOS, "FLEET_MIXES"), noun="preset"),
+    "coordination": FieldRule(
+        choices=("repro.neighborhood.federation", "COORDINATION_MODES"),
+        noun="coordination mode"),
+    "forecaster": FieldRule(choices=("repro.forecast", "FORECASTERS"),
+                            noun="forecaster"),
+}
+
+_NON_NEGATIVE = FieldRule(minimum=0)
+
+
+def field_rule(name: str) -> FieldRule:
+    """The rule of a flat-section field (see :data:`FIELD_RULES`)."""
+    return FIELD_RULES.get(name, _NON_NEGATIVE)
+
+
+#: Dataclass → its field names: the keys a section may carry.
+_KEYS = {cls: tuple(spec_field.name for spec_field in fields(cls))
+         for cls in (ExperimentSpec, GridPlan, SweepSpec, ArtefactSpec,
+                     *SCHEMA)}
+
+#: Flat section dataclass → ``(name, default, type, nullable, rule)``
+#: per field: everything the walker checks, computed once.
+_CHECKS = {cls: tuple((spec_field.name, spec_field.default,
+                       spec_field.type, spec_field.nullable,
+                       field_rule(spec_field.name))
+                      for spec_field in schema)
+           for cls, schema in SCHEMA.items()}
 
 
 def _suggest(value: str, known: Sequence[str]) -> str:
@@ -52,7 +153,6 @@ def _check_keys(data: Mapping[str, Any], allowed: Sequence[str],
 
 def _number(value, path: str, minimum: Optional[float] = None,
             allow_none: bool = False, integer: bool = False) -> None:
-    import math
     if value is None:
         if allow_none:
             return
@@ -70,9 +170,7 @@ def _number(value, path: str, minimum: Optional[float] = None,
         raise SpecError(path, f"must be >= {minimum:g}, got {value!r}")
 
 
-def _string(value, path: str, allow_none: bool = False) -> None:
-    if value is None and allow_none:
-        return
+def _string(value, path: str) -> None:
     if not isinstance(value, str):
         raise SpecError(path, f"must be a string, got {value!r}")
 
@@ -89,164 +187,64 @@ def _section(data, path: str) -> Mapping[str, Any]:
     return data
 
 
-def _validate_scenario(data: Mapping[str, Any]) -> None:
-    from repro.workloads.scenarios import ARRIVAL_KINDS, SCENARIO_PRESETS
-    allowed = ("preset", "name", "n_devices", "device_power_w", "min_dcd_s",
-               "max_dcp_s", "rate_per_hour", "horizon_s", "demand_cycles",
-               "arrival", "batch_size", "notes")
-    _check_keys(data, allowed, "scenario")
-    preset = data.get("preset", "paper-high")
-    if preset is not None:
-        _string(preset, "scenario.preset")
-        if preset not in SCENARIO_PRESETS:
-            raise SpecError("scenario.preset",
-                            _unknown(preset, "preset", SCENARIO_PRESETS))
-    _string(data.get("name"), "scenario.name", allow_none=True)
-    _string(data.get("notes"), "scenario.notes", allow_none=True)
-    _number(data.get("n_devices"), "scenario.n_devices", minimum=1,
-            allow_none=True, integer=True)
-    _number(data.get("device_power_w"), "scenario.device_power_w",
-            minimum=0.0, allow_none=True)
-    _number(data.get("min_dcd_s"), "scenario.min_dcd_s", minimum=0.0,
-            allow_none=True)
-    _number(data.get("max_dcp_s"), "scenario.max_dcp_s", minimum=0.0,
-            allow_none=True)
-    _number(data.get("rate_per_hour"), "scenario.rate_per_hour",
-            minimum=0.0, allow_none=True)
-    _number(data.get("horizon_s"), "scenario.horizon_s", minimum=0.0,
-            allow_none=True)
-    _number(data.get("demand_cycles"), "scenario.demand_cycles", minimum=1,
-            allow_none=True, integer=True)
-    _number(data.get("batch_size"), "scenario.batch_size", minimum=1,
-            allow_none=True, integer=True)
-    arrival = data.get("arrival")
-    if arrival is not None:
-        _choice(arrival, "scenario.arrival", "arrival kind", ARRIVAL_KINDS)
+def _check_value(value, kind: type, nullable: bool, rule: FieldRule,
+                 path: str) -> None:
+    """One value against its field's type, nullability and rule."""
+    if value is None and nullable:
+        return
+    if kind is str:
+        if rule.choices is None:
+            _string(value, path)
+        else:
+            _choice(value, path, rule.noun, rule.known)
+        return
+    _number(value, path, minimum=rule.minimum, integer=kind is int)
+    if rule.maximum is not None and value > rule.maximum:
+        noun = f" ({rule.noun})" if rule.noun else ""
+        raise SpecError(path, f"must be <= {rule.maximum:g}{noun}, "
+                              f"got {value!r}")
 
 
-def _validate_control(data: Mapping[str, Any]) -> None:
-    from repro.core.system import FIDELITIES, POLICIES, TOPOLOGIES
-    allowed = ("policy", "cp_fidelity", "cp_period", "topology",
-               "refresh_every", "calibration_rounds", "shadowing_sigma_db",
-               "path_loss_exponent", "ci_derating", "aggregation",
-               "controller_id")
-    _check_keys(data, allowed, "control")
-    _choice(data.get("policy", "coordinated"), "control.policy", "policy",
-            POLICIES)
-    _choice(data.get("cp_fidelity", "round"), "control.cp_fidelity",
-            "CP fidelity", FIDELITIES)
-    _choice(data.get("topology", "flocklab26"), "control.topology",
-            "topology", TOPOLOGIES)
-    _number(data.get("cp_period", 2.0), "control.cp_period", minimum=1e-9)
-    _number(data.get("refresh_every", 15), "control.refresh_every",
-            minimum=1, integer=True)
-    _number(data.get("calibration_rounds", 20), "control.calibration_rounds",
-            minimum=1, integer=True)
-    _number(data.get("shadowing_sigma_db", 3.0),
-            "control.shadowing_sigma_db", minimum=0.0)
-    _number(data.get("path_loss_exponent"), "control.path_loss_exponent",
-            minimum=0.0, allow_none=True)
-    _number(data.get("ci_derating"), "control.ci_derating", minimum=0.0,
-            allow_none=True)
-    _number(data.get("aggregation", 2), "control.aggregation", minimum=1,
-            integer=True)
-    _number(data.get("controller_id", 0), "control.controller_id",
-            minimum=0, integer=True)
-
-
-def _validate_fleet(data: Mapping[str, Any]) -> None:
-    from repro.neighborhood.federation import COORDINATION_MODES
-    from repro.workloads.scenarios import FLEET_MIXES
-    allowed = ("homes", "mix", "coordination", "rate_jitter", "size_jitter")
-    _check_keys(data, allowed, "fleet")
-    _number(data.get("homes", 20), "fleet.homes", minimum=1, integer=True)
-    mix = data.get("mix", "suburb")
-    _string(mix, "fleet.mix")
-    if mix not in FLEET_MIXES:
-        raise SpecError("fleet.mix", _unknown(mix, "preset", FLEET_MIXES))
-    _choice(data.get("coordination", "independent"), "fleet.coordination",
-            "coordination mode", COORDINATION_MODES)
-    _number(data.get("rate_jitter", 0.25), "fleet.rate_jitter", minimum=0.0)
-    _number(data.get("size_jitter", 0.2), "fleet.size_jitter", minimum=0.0)
-
-
-def _validate_forecast(data: Mapping[str, Any]) -> None:
-    from repro.forecast import FORECASTERS
-    allowed = ("forecaster", "noise", "noise_seed", "ewma_alpha",
-               "season_epochs")
-    _check_keys(data, allowed, "forecast")
-    _choice(data.get("forecaster", "oracle"), "forecast.forecaster",
-            "forecaster", FORECASTERS)
-    _number(data.get("noise", 0.0), "forecast.noise", minimum=0.0)
-    _number(data.get("noise_seed", 1), "forecast.noise_seed", minimum=0,
-            integer=True)
-    alpha = data.get("ewma_alpha", 0.5)
-    _number(alpha, "forecast.ewma_alpha", minimum=0.0)
-    if alpha > 1.0:
-        raise SpecError("forecast.ewma_alpha",
-                        f"must be <= 1, got {alpha!r}")
-    _number(data.get("season_epochs", 1), "forecast.season_epochs",
-            minimum=1, integer=True)
-
-
-def _validate_faults(data: Mapping[str, Any]) -> None:
-    from repro.faults.plan import RATE_FIELDS
-    allowed = ("seed",) + RATE_FIELDS + ("max_delay_epochs",)
-    _check_keys(data, allowed, "faults")
-    _number(data.get("seed", 0), "faults.seed", minimum=0, integer=True)
-    for name in RATE_FIELDS:
-        rate = data.get(name, 0.0)
-        _number(rate, f"faults.{name}", minimum=0.0)
-        if rate > 1.0:
-            raise SpecError(f"faults.{name}",
-                            f"must be <= 1 (a probability), got {rate!r}")
-    _number(data.get("max_delay_epochs", 2), "faults.max_delay_epochs",
-            minimum=1, integer=True)
+def _validate_section(data, section_cls, path: str) -> None:
+    """The one validator of every flat section: keys, then each field
+    (absent fields are checked at their dataclass default)."""
+    data = _section(data, path)
+    _check_keys(data, _KEYS[section_cls], path)
+    for name, default, kind, nullable, rule in _CHECKS[section_cls]:
+        _check_value(data.get(name, default), kind, nullable, rule,
+                     f"{path}.{name}")
 
 
 def _validate_grid(data: Mapping[str, Any]) -> None:
     from repro.neighborhood.grid import GRID_COORDINATION_MODES
-    from repro.workloads.scenarios import FLEET_MIXES
-    _check_keys(data, ("feeders", "coordination"), "grid")
+    _check_keys(data, _KEYS[GridPlan], "grid")
     feeders = data.get("feeders")
     if not isinstance(feeders, (list, tuple)) or not feeders:
         raise SpecError("grid.feeders",
                         f"must be a non-empty list of feeder objects, "
                         f"got {feeders!r}")
-    allowed = ("homes", "mix", "rate_jitter", "size_jitter")
     for index, feeder in enumerate(feeders):
-        path = f"grid.feeders[{index}]"
-        feeder = _section(feeder, path)
-        _check_keys(feeder, allowed, path)
-        _number(feeder.get("homes", 20), f"{path}.homes", minimum=1,
-                integer=True)
-        mix = feeder.get("mix", "suburb")
-        _string(mix, f"{path}.mix")
-        if mix not in FLEET_MIXES:
-            raise SpecError(f"{path}.mix",
-                            _unknown(mix, "preset", FLEET_MIXES))
-        _number(feeder.get("rate_jitter", 0.25), f"{path}.rate_jitter",
-                minimum=0.0)
-        _number(feeder.get("size_jitter", 0.2), f"{path}.size_jitter",
-                minimum=0.0)
-    _choice(data.get("coordination", "independent"), "grid.coordination",
-            "grid coordination mode", GRID_COORDINATION_MODES)
+        _validate_section(feeder, FeederPlan, f"grid.feeders[{index}]")
+    _choice(data.get("coordination", GridPlan.coordination),
+            "grid.coordination", "grid coordination mode",
+            GRID_COORDINATION_MODES)
 
 
 def _validate_sweep(data: Mapping[str, Any]) -> None:
-    from repro.core.system import POLICIES
-    _check_keys(data, ("rates", "policies"), "sweep")
-    rates = data.get("rates", [])
+    _check_keys(data, _KEYS[SweepSpec], "sweep")
+    rates = data.get("rates", SweepSpec.rates)
     if not isinstance(rates, (list, tuple)):
         raise SpecError("sweep.rates", f"must be a list, got {rates!r}")
     for index, rate in enumerate(rates):
-        _number(rate, f"sweep.rates[{index}]", minimum=0.0)
-    policies = data.get("policies", ("coordinated", "uncoordinated"))
+        _check_value(rate, float, False, field_rule("rate_per_hour"),
+                     f"sweep.rates[{index}]")
+    policies = data.get("policies", SweepSpec.policies)
     if not isinstance(policies, (list, tuple)) or not policies:
         raise SpecError("sweep.policies",
                         f"must be a non-empty list, got {policies!r}")
     for index, policy in enumerate(policies):
-        _choice(policy, f"sweep.policies[{index}]", "policy", POLICIES)
+        _check_value(policy, str, False, field_rule("policy"),
+                     f"sweep.policies[{index}]")
 
 
 def _json_safe(value, path: str) -> None:
@@ -270,12 +268,9 @@ def _validate_artefact(data: Mapping[str, Any]) -> None:
     import inspect
 
     from repro.api.compile import ARTEFACTS, resolve_artefact
-    _check_keys(data, ("kind", "params"), "artefact")
+    _check_keys(data, _KEYS[ArtefactSpec], "artefact")
     kind = data.get("kind")
-    _string(kind, "artefact.kind")
-    if kind not in ARTEFACTS:
-        raise SpecError("artefact.kind",
-                        _unknown(kind, "artefact kind", ARTEFACTS))
+    _choice(kind, "artefact.kind", "artefact kind", ARTEFACTS)
     params = data.get("params", {})
     if not isinstance(params, Mapping):
         raise SpecError("artefact.params",
@@ -291,15 +286,22 @@ def _validate_artefact(data: Mapping[str, Any]) -> None:
         _json_safe(value, f"artefact.params.{key}")
 
 
-#: Which optional section each kind requires (and all others must be
-#: absent — a spec never carries dead configuration).
+#: Each kind-bound section → the one kind it belongs to (required there,
+#: absent everywhere else — a spec never carries dead configuration) and
+#: its validator, in the order the sections are checked.
 _KIND_SECTIONS = {
-    "single": None,
-    "sweep": "sweep",
-    "neighborhood": "fleet",
-    "grid": "grid",
-    "artefact": "artefact",
+    "fleet": ("neighborhood",
+              lambda data: _validate_section(data, FleetPlan, "fleet")),
+    "grid": ("grid", _validate_grid),
+    "sweep": ("sweep", _validate_sweep),
+    "artefact": ("artefact", _validate_artefact),
 }
+
+
+def _coordination(data: Mapping[str, Any]) -> str:
+    """The fleet coordination mode a spec dict selects."""
+    fleet = data.get("fleet") or {}
+    return fleet.get("coordination", FleetPlan.coordination)
 
 
 def validate_data(data: Mapping[str, Any]) -> None:
@@ -310,10 +312,7 @@ def validate_data(data: Mapping[str, Any]) -> None:
     """
     if not isinstance(data, Mapping):
         raise SpecError("", f"spec must be an object, got {data!r}")
-    allowed = ("schema_version", "name", "kind", "scenario", "control",
-               "seeds", "until_s", "fleet", "forecast", "faults", "grid",
-               "sweep", "artefact")
-    _check_keys(data, allowed, "")
+    _check_keys(data, _KEYS[ExperimentSpec], "")
     version = data.get("schema_version", SCHEMA_VERSION)
     if not isinstance(version, int) or isinstance(version, bool):
         raise SpecError("schema_version",
@@ -325,12 +324,12 @@ def validate_data(data: Mapping[str, Any]) -> None:
     name = data.get("name")
     if not isinstance(name, str) or not name:
         raise SpecError("name", f"must be a non-empty string, got {name!r}")
-    kind = data.get("kind", "single")
+    kind = data.get("kind", ExperimentSpec.kind)
     if kind not in KINDS:
         raise SpecError("kind", _unknown(str(kind), "kind", KINDS))
-    _validate_scenario(_section(data.get("scenario", {}), "scenario"))
-    _validate_control(_section(data.get("control", {}), "control"))
-    seeds = data.get("seeds", [1])
+    _validate_section(data.get("scenario", {}), ScenarioSpec, "scenario")
+    _validate_section(data.get("control", {}), ControlSpec, "control")
+    seeds = data.get("seeds", ExperimentSpec.seeds)
     if not isinstance(seeds, (list, tuple)) or not seeds:
         raise SpecError("seeds",
                         f"must be a non-empty list of integers, "
@@ -341,35 +340,30 @@ def validate_data(data: Mapping[str, Any]) -> None:
 
     _reject_dead_fields(data, kind)
 
-    required = _KIND_SECTIONS[kind]
-    for section_name, validator in (("fleet", _validate_fleet),
-                                    ("grid", _validate_grid),
-                                    ("sweep", _validate_sweep),
-                                    ("artefact", _validate_artefact)):
+    for section_name, (section_kind, validator) in _KIND_SECTIONS.items():
         section_data = data.get(section_name)
-        if section_name == required:
+        if section_kind == kind:
             if section_data is None:
                 raise SpecError(section_name,
                                 f"required for kind {kind!r}")
             validator(_section(section_data, section_name))
         elif section_data is not None:
             raise SpecError(section_name,
-                            f"only valid for kind {_kind_of(section_name)!r}"
+                            f"only valid for kind {section_kind!r}"
                             f", this spec has kind {kind!r}")
 
     forecast_data = data.get("forecast")
     if forecast_data is not None:
         # The forecast section only feeds the online epoch loop; on any
         # other shape it would be dead configuration perturbing the hash.
-        fleet_data = data.get("fleet") or {}
-        coordination = fleet_data.get("coordination", "independent")
+        coordination = _coordination(data)
         if kind != "neighborhood" or coordination != "online":
             raise SpecError(
                 "forecast",
                 "only valid for kind 'neighborhood' with "
                 f"fleet.coordination 'online'; this spec has kind "
                 f"{kind!r} with coordination {coordination!r}")
-        _validate_forecast(_section(forecast_data, "forecast"))
+        _validate_section(forecast_data, ForecastPlan, "forecast")
 
     faults_data = data.get("faults")
     if faults_data is not None:
@@ -382,14 +376,11 @@ def validate_data(data: Mapping[str, Any]) -> None:
                 "faults",
                 "only valid for kinds 'neighborhood' and 'grid'; this "
                 f"spec has kind {kind!r}")
-        _validate_faults(faults_data)
-        telemetry_rates = [faults_data.get(name, 0.0)
-                           for name in ("telemetry_drop",
-                                        "telemetry_delay",
-                                        "telemetry_dup")]
-        if any(rate > 0 for rate in telemetry_rates):
-            fleet_data = data.get("fleet") or {}
-            coordination = fleet_data.get("coordination", "independent")
+        _validate_section(faults_data, FaultPlan, "faults")
+        if any(faults_data.get(name, getattr(FaultPlan, name)) > 0
+               for name in ("telemetry_drop", "telemetry_delay",
+                            "telemetry_dup")):
+            coordination = _coordination(data)
             if coordination != "online":
                 raise SpecError(
                     "faults",
@@ -399,22 +390,10 @@ def validate_data(data: Mapping[str, Any]) -> None:
                     f"{coordination!r}")
 
 
-def _kind_of(section_name: str) -> str:
-    """The spec kind a section belongs to (for error messages)."""
-    return {"fleet": "neighborhood", "grid": "grid", "sweep": "sweep",
-            "artefact": "artefact"}[section_name]
-
-
-def _defaults_of(section_cls) -> dict:
-    """Field → schema default of a flat section dataclass."""
-    from dataclasses import fields
-    return {f.name: f.default for f in fields(section_cls)}
-
-
-def _reject_non_default(data: Mapping[str, Any], section: str,
-                        defaults: dict, kind: str, hint: str) -> None:
+def _reject_non_default(data: Mapping[str, Any], section_cls,
+                        section: str, kind: str, hint: str) -> None:
     for key, value in data.items():
-        if value != defaults.get(key):
+        if value != getattr(section_cls, key):
             raise SpecError(f"{section}.{key}",
                             f"not applicable to kind {kind!r} ({hint})")
 
@@ -429,16 +408,14 @@ def _reject_dead_fields(data: Mapping[str, Any], kind: str) -> None:
     ``sweep`` section on a neighborhood spec therefore extends to the
     individual shared fields each kind ignores.
     """
-    from repro.api.spec import ControlSpec, ScenarioSpec
-    scenario = _section(data.get("scenario", {}), "scenario")
-    control = _section(data.get("control", {}), "control")
-    seeds = data.get("seeds", [1])
+    scenario = data.get("scenario", {})
+    control = data.get("control", {})
+    seeds = data.get("seeds", ExperimentSpec.seeds)
     if kind in ("neighborhood", "grid"):
         # Homes draw their workloads from the fleet mix's archetypes;
         # only the shared horizon crosses into the fleet build.
-        scenario_defaults = _defaults_of(ScenarioSpec)
         for key, value in scenario.items():
-            if key == "horizon_s" or value == scenario_defaults.get(key):
+            if key == "horizon_s" or value == getattr(ScenarioSpec, key):
                 continue
             raise SpecError(
                 f"scenario.{key}",
@@ -452,7 +429,7 @@ def _reject_dead_fields(data: Mapping[str, Any], kind: str) -> None:
                 "per-home seeds derive from it); got "
                 f"{len(seeds)} seeds")
     elif kind == "sweep":
-        if control.get("policy", "coordinated") != "coordinated":
+        if control.get("policy", ControlSpec.policy) != ControlSpec.policy:
             raise SpecError(
                 "control.policy",
                 "not applicable to kind 'sweep' (vary policies via "
@@ -467,11 +444,9 @@ def _reject_dead_fields(data: Mapping[str, Any], kind: str) -> None:
     elif kind == "artefact":
         hint = "artefact generators configure themselves via " \
                "artefact.params"
-        _reject_non_default(scenario, "scenario",
-                            _defaults_of(ScenarioSpec), kind, hint)
-        _reject_non_default(control, "control",
-                            _defaults_of(ControlSpec), kind, hint)
-        if list(seeds) != [1]:
+        _reject_non_default(scenario, ScenarioSpec, "scenario", kind, hint)
+        _reject_non_default(control, ControlSpec, "control", kind, hint)
+        if tuple(seeds) != ExperimentSpec.seeds:
             raise SpecError("seeds", f"not applicable to kind {kind!r} "
                                      f"({hint})")
         if data.get("until_s") is not None:

@@ -50,6 +50,7 @@ from typing import Optional, Sequence
 from repro.analysis.report import format_table
 from repro.api import run as run_spec
 from repro.api.spec import (
+    ArtefactSpec,
     ControlSpec,
     ExperimentSpec,
     FeederPlan,
@@ -62,7 +63,6 @@ from repro.api.spec import (
 )
 from repro.api.validate import SpecError
 from repro.core.system import FIDELITIES, POLICIES
-from repro.experiments import ablations, cp_trace, figures
 from repro.experiments.runner import WorkerFailure, run_registry
 from repro.neighborhood import GRID_COORDINATION_MODES
 from repro.sim.units import MINUTE
@@ -119,6 +119,37 @@ def _fleet_output_parent() -> argparse.ArgumentParser:
 
 def _horizon(args: argparse.Namespace) -> Optional[float]:
     return args.horizon_min * MINUTE if args.horizon_min else None
+
+
+#: Artefact kind → the generator params its command takes from the
+#: flags (``ablation <which>`` runs kind ``abl-<which>``).
+_ARTEFACT_PARAMS = {
+    "fig2a": ("seed", "cp_fidelity", "horizon"),
+    "fig2b": ("seeds", "cp_fidelity", "horizon"),
+    "fig2c": ("seeds", "cp_fidelity", "horizon"),
+    "headline": ("seeds", "cp_fidelity"),
+    "cp-trace": ("rounds", "seed"),
+    "abl-cp-period": ("seeds", "horizon"),
+    "abl-loss": ("seeds", "horizon"),
+    "abl-scale": ("seeds", "horizon"),
+    "abl-slots": ("seeds", "horizon"),
+    "abl-variants": ("seeds", "horizon"),
+    "abl-st-vs-at": ("seed",),
+    "abl-spof": ("seed", "horizon"),
+}
+
+
+def _artefact_spec(args: argparse.Namespace,
+                   horizon: Optional[float]) -> ExperimentSpec:
+    """The ``kind: artefact`` spec of a figure/trace/ablation command."""
+    kind = f"abl-{args.which}" if args.command == "ablation" \
+        else args.command
+    flags = {"seed": args.seed, "seeds": getattr(args, "seeds", None),
+             "cp_fidelity": getattr(args, "fidelity", None),
+             "rounds": getattr(args, "rounds", None), "horizon": horizon}
+    params = {name: flags[name] for name in _ARTEFACT_PARAMS[kind]}
+    return ExperimentSpec(name=f"cli-{kind}", kind="artefact",
+                          artefact=ArtefactSpec(kind=kind, params=params))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -501,37 +532,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     horizon = _horizon(args) if hasattr(args, "horizon_min") else None
 
-    if args.command == "fig2a":
-        print(figures.fig2a(seed=args.seed, cp_fidelity=args.fidelity,
-                            horizon=horizon).text)
-    elif args.command == "fig2b":
-        print(figures.fig2b(seeds=args.seeds, cp_fidelity=args.fidelity,
-                            horizon=horizon).text)
-    elif args.command == "fig2c":
-        print(figures.fig2c(seeds=args.seeds, cp_fidelity=args.fidelity,
-                            horizon=horizon).text)
-    elif args.command == "headline":
-        print(figures.headline_numbers(seeds=args.seeds,
-                                       cp_fidelity=args.fidelity).text)
-    elif args.command == "cp-trace":
-        print(cp_trace.trace_cp(rounds=args.rounds, seed=args.seed).text)
-    elif args.command == "ablation":
-        runner = {
-            "cp-period": lambda: ablations.cp_period_sweep(
-                seeds=args.seeds, horizon=horizon),
-            "loss": lambda: ablations.loss_sweep(
-                seeds=args.seeds, horizon=horizon),
-            "scale": lambda: ablations.scale_sweep(
-                seeds=args.seeds, horizon=horizon),
-            "slots": lambda: ablations.slots_sweep(
-                seeds=args.seeds, horizon=horizon),
-            "variants": lambda: ablations.scheduler_variants(
-                seeds=args.seeds, horizon=horizon),
-            "st-vs-at": lambda: ablations.st_vs_at(seed=args.seed),
-            "spof": lambda: ablations.spof_comparison(
-                seed=args.seed, horizon=horizon),
-        }[args.which]
-        print(runner().text)
+    if args.command in _ARTEFACT_PARAMS or args.command == "ablation":
+        print(run_spec(_artefact_spec(args, horizon)).artefact.text)
     elif args.command == "run":
         if args.spec:
             return _run_spec_file(args)

@@ -507,8 +507,9 @@ def grid_uplift(feeders: int = 20, homes: int = 500, mix: str = "suburb",
     lock on grid *execution*, not merely on its summary statistics.
     """
     import hashlib
+    from repro.api.spec import FeederPlan
     from repro.neighborhood import build_grid, execute_grid
-    plans = [{"homes": homes, "mix": mix} for _ in range(feeders)]
+    plans = [FeederPlan(homes=homes, mix=mix)] * feeders
     grid = build_grid(plans, seed=seed, cp_fidelity=cp_fidelity,
                       horizon=horizon)
     result = execute_grid(grid, jobs=jobs, coordination="substation")

@@ -276,7 +276,8 @@ def _run_feeder(fleet: FleetSpec, horizon: float, until: Optional[float],
     shards = [replace(shard, index=first_shard + shard.index)
               for shard in plan_shards(fleet, until=until,
                                        shard_size=shard_size, jobs=jobs,
-                                       envelope_bin_s=envelope_bin)]
+                                       envelope_bin_s=envelope_bin,
+                                       horizon=horizon)]
     results, partials, home_stats, envelopes = execute_shards(
         shards, jobs=jobs, mp_context=mp_context, executor=shard_executor)
     plan = None

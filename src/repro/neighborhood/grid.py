@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.analysis.report import format_table
 from repro.neighborhood.aggregate import (
@@ -61,6 +61,9 @@ from repro.neighborhood.coordination import (
 from repro.neighborhood.federation import NeighborhoodResult, _run_feeder
 from repro.neighborhood.fleet import FleetSpec, build_fleet
 from repro.sim.monitor import StepSeries
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api.spec import FeederPlan
 
 #: How the grid's tiers coordinate: ``"independent"`` (no negotiation
 #: anywhere), ``"feeder"`` (today's per-feeder CP rounds, nothing
@@ -121,34 +124,26 @@ class GridSpec:
         return max(fleet.horizon for fleet in self.feeders)
 
 
-def build_grid(feeders: Sequence[Mapping[str, object]], seed: int = 1,
+def build_grid(feeders: Sequence[FeederPlan], seed: int = 1,
                policy: str = "coordinated", cp_fidelity: str = "round",
                horizon: Optional[float] = None,
                name: Optional[str] = None) -> GridSpec:
     """Deterministically build a grid of feeder fleets from plans.
 
-    Each entry of ``feeders`` is a mapping with any of the
-    :func:`~repro.neighborhood.fleet.build_fleet` build knobs ``homes``,
-    ``mix``, ``rate_jitter``, ``size_jitter`` (defaults match
-    :class:`repro.api.spec.FeederPlan`).  Feeder ``i`` builds with
-    :func:`feeder_seed(seed, i) <feeder_seed>` and is renamed
-    ``<grid>/feeder<i>`` so shard-level diagnostics name the feeder
-    they came from.
+    Each entry of ``feeders`` is a :class:`repro.api.spec.FeederPlan`
+    (the :func:`~repro.neighborhood.fleet.build_fleet` build knobs of
+    one feeder).  Feeder ``i`` builds with :func:`feeder_seed(seed, i)
+    <feeder_seed>` and is renamed ``<grid>/feeder<i>`` so shard-level
+    diagnostics name the feeder they came from.
     """
     if not feeders:
         raise ValueError("a grid needs at least one feeder plan")
-    fleets = []
-    for index, plan in enumerate(feeders):
-        fleet = build_fleet(
-            int(plan.get("homes", 20)),
-            mix=str(plan.get("mix", "suburb")),
-            seed=feeder_seed(seed, index),
-            policy=policy,
-            cp_fidelity=cp_fidelity,
-            horizon=horizon,
-            rate_jitter=float(plan.get("rate_jitter", 0.25)),
-            size_jitter=float(plan.get("size_jitter", 0.2)))
-        fleets.append(fleet)
+    fleets = [build_fleet(plan.homes, mix=plan.mix,
+                          seed=feeder_seed(seed, index), policy=policy,
+                          cp_fidelity=cp_fidelity, horizon=horizon,
+                          rate_jitter=plan.rate_jitter,
+                          size_jitter=plan.size_jitter)
+              for index, plan in enumerate(feeders)]
     grid_name = name if name is not None else \
         f"grid-{len(fleets)}feeders-{sum(f.n_homes for f in fleets)}homes"
     fleets = [replace(fleet, name=f"{grid_name}/feeder{index}")

@@ -107,7 +107,7 @@ def shard_fleet(fleet: FleetSpec, shard_size: int) -> list[FleetSpec]:
 def plan_shards(fleet: FleetSpec, until: Optional[float] = None,
                 shard_size: Optional[int] = None, jobs: int = 1,
                 envelope_bin_s: Optional[float] = None,
-                ) -> list[ShardSpec]:
+                horizon: Optional[float] = None) -> list[ShardSpec]:
     """Decide the shard layout for one fleet run.
 
     ``shard_size=None`` sizes shards automatically: in process
@@ -125,6 +125,10 @@ def plan_shards(fleet: FleetSpec, until: Optional[float] = None,
     touching N raw series; :func:`phase_envelope
     <repro.neighborhood.coordination.phase_envelope>` is pure, so the
     result is bit-identical to computing them parent-side.
+
+    ``horizon`` is the window the shard workers pre-reduce stats and
+    envelopes over (default: ``until``, else the fleet's own horizon);
+    a grid feeder passes the grid's, which may exceed its fleet's.
     """
     size = shard_size
     if size is None:
@@ -135,7 +139,8 @@ def plan_shards(fleet: FleetSpec, until: Optional[float] = None,
             size = max(1, math.ceil(fleet.n_homes
                                     / (jobs * CHUNKS_PER_WORKER)))
     sub_fleets = shard_fleet(fleet, size)
-    horizon = until if until is not None else fleet.horizon
+    if horizon is None:
+        horizon = until if until is not None else fleet.horizon
     in_process = jobs == 1 or len(sub_fleets) == 1
     wire = None
     if not in_process:

@@ -60,6 +60,21 @@ def test_ablation_command(capsys):
     assert "ABL-ST-VS-AT" in out
 
 
+@pytest.mark.parametrize("argv, kind, params", [
+    (["fig2a", "--fidelity", "ideal", "--horizon-min", "30"], "fig2a",
+     {"seed": 1, "cp_fidelity": "ideal", "horizon": 1800.0}),
+    (["ablation", "st-vs-at", "--seed", "2"], "abl-st-vs-at",
+     {"seed": 2}),
+])
+def test_artefact_commands_print_their_spec_run(capsys, argv, kind, params):
+    from repro.api import ArtefactSpec, ExperimentSpec, run
+    spec = ExperimentSpec(name=f"cli-{kind}", kind="artefact",
+                          artefact=ArtefactSpec(kind=kind, params=params))
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == run(spec).artefact.text + "\n"
+
+
 def test_unknown_ablation_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["ablation", "quantum"])

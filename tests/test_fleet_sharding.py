@@ -335,8 +335,10 @@ def test_grid_bit_identical_across_jobs_and_shard_sizes(
         serial_grid, shutdown_pools_after):
     """jobs {1, 4} x shard sizes {1, 2, auto}: the serial reference's
     digest."""
+    from repro.api.spec import FeederPlan
     from repro.neighborhood import build_grid, execute_grid
-    grid = build_grid([{"homes": 6}, {"homes": 6, "mix": "mixed"}],
+    grid = build_grid([FeederPlan(homes=6),
+                       FeederPlan(homes=6, mix="mixed")],
                       seed=3, cp_fidelity="ideal", horizon=HORIZON)
     reference = grid_value_digest(serial_grid(grid, "substation"))
     for jobs in (1, 4):

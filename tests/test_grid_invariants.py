@@ -54,14 +54,15 @@ MIXES = ("suburb", "apartments", "mixed")
 def random_plans(seed, max_feeders=4, max_homes=4):
     """A seeded-random grid topology (1..4 feeders of 1..4 homes)."""
     rng = random.Random(seed)
-    return [{"homes": rng.randint(1, max_homes),
-             "mix": rng.choice(MIXES)}
+    return [FeederPlan(homes=rng.randint(1, max_homes),
+                       mix=rng.choice(MIXES))
             for _ in range(rng.randint(1, max_feeders))]
 
 
 def small_grid(seed=1, plans=None):
     return build_grid(plans if plans is not None
-                      else [{"homes": 3}, {"homes": 2, "mix": "mixed"}],
+                      else [FeederPlan(homes=3),
+                            FeederPlan(homes=2, mix="mixed")],
                       seed=seed, cp_fidelity="ideal", horizon=HORIZON)
 
 
@@ -214,7 +215,7 @@ def assert_feeder_matches_fleet(feeder, flat, coordination):
 @pytest.mark.parametrize("coordination", ["independent", "feeder"])
 def test_flat_single_feeder_grid_matches_neighborhood(coordination):
     fleet = build_fleet(4, seed=9, cp_fidelity="ideal", horizon=HORIZON)
-    grid = build_grid([{"homes": 4}], seed=9, cp_fidelity="ideal",
+    grid = build_grid([FeederPlan(homes=4)], seed=9, cp_fidelity="ideal",
                       horizon=HORIZON)
     flat = execute_fleet(fleet, coordination=coordination)
     nested = execute_grid(grid, coordination=coordination)
@@ -224,7 +225,7 @@ def test_flat_single_feeder_grid_matches_neighborhood(coordination):
     # Every feeder of a multi-feeder grid — sharded, so its shards are
     # numbered globally across feeders — equals the neighborhood run of
     # its own fleet.
-    grid = build_grid([{"homes": 3, "mix": mix} for mix in MIXES],
+    grid = build_grid([FeederPlan(homes=3, mix=mix) for mix in MIXES],
                       seed=9, cp_fidelity="ideal", horizon=HORIZON)
     nested = execute_grid(grid, coordination=coordination, shard_size=2)
     assert nested.n_feeders == len(MIXES)
@@ -234,7 +235,7 @@ def test_flat_single_feeder_grid_matches_neighborhood(coordination):
 
 
 def test_substation_mode_with_one_feeder_equals_feeder_mode():
-    grid = build_grid([{"homes": 4}], seed=9, cp_fidelity="ideal",
+    grid = build_grid([FeederPlan(homes=4)], seed=9, cp_fidelity="ideal",
                       horizon=HORIZON)
     feeder_only = execute_grid(grid, coordination="feeder")
     substation = execute_grid(grid, coordination="substation")
@@ -253,6 +254,33 @@ def test_envelope_prereduction_never_changes_bits(
     sharded = execute_grid(grid, coordination=coordination, shard_size=2)
     assert grid_digest(sharded) == \
         grid_digest(serial_grid(grid, coordination))
+
+
+@pytest.mark.parametrize("shard_size", [None, 2])
+def test_feeders_with_shorter_horizons_use_the_grid_window(shard_size):
+    """A hand-built grid may mix feeder horizons; every feeder reports
+    stats and negotiates envelopes over the grid window, exactly as if
+    both were computed parent-side."""
+    from repro.analysis.loadstats import load_stats
+    from repro.neighborhood.coordination import coordinate_fleet
+    fleets = [build_fleet(3, seed=feeder_seed(4, index),
+                          cp_fidelity="ideal", horizon=horizon)
+              for index, horizon in enumerate((30 * MINUTE, 60 * MINUTE))]
+    grid = GridSpec(name="mixed-horizons", seed=4, feeders=tuple(fleets))
+    result = execute_grid(grid, coordination="feeder",
+                          shard_size=shard_size)
+    assert result.horizon == grid.horizon == 60 * MINUTE
+    for feeder in result.feeders:
+        assert feeder.home_stats() == [
+            load_stats(home.load_w, 0.0, grid.horizon)
+            for home in feeder.homes]
+        reference = coordinate_fleet(feeder.fleet, feeder.homes,
+                                     grid.horizon)
+        assert feeder.coordination.offsets_s == reference.offsets_s
+        assert feeder.coordination.planned_offsets_s == \
+            reference.planned_offsets_s
+        assert series_bits(feeder.feeder_w) == \
+            series_bits(reference.coordinated_w)
 
 
 def test_lost_frame_in_a_later_feeder_reexecutes_its_own_shard(

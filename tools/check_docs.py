@@ -19,6 +19,10 @@ docs drift:
    directory that is removed when the run ends).
 4. **Examples** — every ``examples/*.py`` script smoke-executes
    (``--quick``).
+5. **Spec reference** — ``docs/experiment-spec.md`` names every spec
+   kind, every top-level field, every field of each section (under the
+   section's own heading) and every artefact kind, all read from the
+   schema in :mod:`repro.api.spec` and :data:`repro.api.compile.ARTEFACTS`.
 
 Usage::
 
@@ -185,6 +189,60 @@ def check_api_docstrings() -> None:
             ok(f"{module_name}: all public API documented")
 
 
+def check_spec_reference() -> None:
+    print("== spec reference ==")
+    from dataclasses import fields
+
+    from repro.api.compile import ARTEFACTS
+    from repro.api.spec import (
+        KINDS,
+        SCHEMA,
+        SECTIONS,
+        ArtefactSpec,
+        ExperimentSpec,
+        FeederPlan,
+        GridPlan,
+        SweepSpec,
+    )
+    page = REPO_ROOT / "docs" / "experiment-spec.md"
+    text = page.read_text()
+    # ### `section` headings -> the text up to the next heading
+    bodies = {}
+    for chunk in re.split(r"^### ", text, flags=re.MULTILINE)[1:]:
+        heading, _, body = chunk.partition("\n")
+        match = re.match(r"`(\w+)`", heading)
+        if match:
+            bodies[match.group(1)] = body.split("\n## ")[0]
+    names = [spec_field.name for spec_field in SCHEMA[FeederPlan]]
+    expected = {
+        "": ([f"`{kind}`" for kind in KINDS]
+             + [f"`{name}`" for name in ARTEFACTS]
+             + [f"`{spec_field.name}`"
+                for spec_field in fields(ExperimentSpec)]),
+        **{section: [f"`{spec_field.name}`"
+                     for spec_field in SCHEMA[section_cls]]
+           for section, section_cls in SECTIONS.items()},
+        "grid": [f"`{spec_field.name}`" for spec_field in fields(GridPlan)]
+        + [f"`{name}`" for name in names],
+        "sweep": [f"`{spec_field.name}`"
+                  for spec_field in fields(SweepSpec)],
+        "artefact": [f"`{spec_field.name}`"
+                     for spec_field in fields(ArtefactSpec)],
+    }
+    for section, tokens in expected.items():
+        where = f"### `{section}`" if section else "the page"
+        body = bodies.get(section) if section else text
+        if body is None:
+            fail(f"{page.name}: no ### `{section}` heading")
+            continue
+        missing = [token for token in tokens if token not in body]
+        if missing:
+            fail(f"{page.name}: {where} does not name "
+                 f"{', '.join(missing)}")
+        else:
+            ok(f"{page.name}: {where} names all {len(tokens)} entries")
+
+
 # ---------------------------------------------------------------------------
 # 3. fenced snippets
 # ---------------------------------------------------------------------------
@@ -342,6 +400,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     check_links()
     check_api_docstrings()
+    check_spec_reference()
     with tempfile.TemporaryDirectory(prefix="check-docs-") as tmp_dir:
         check_snippets(args.skip_slow, args.list, tmp_dir)
         check_examples(args.list, tmp_dir)
