@@ -136,8 +136,9 @@ class ForecastPlan:
 class FeederPlan:
     """One feeder of a grid: a fleet build minus the coordination mode.
 
-    Same build knobs as :class:`FleetPlan` (they compile through the same
-    :func:`repro.neighborhood.fleet.build_fleet`); coordination lives on
+    Same build knobs and defaults as :class:`FleetPlan` (they compile
+    through the same :func:`repro.neighborhood.fleet.build_fleet`);
+    coordination lives on
     the enclosing :class:`GridPlan` because it is a property of the grid,
     not of one feeder.  Feeder ``i`` builds with
     :func:`repro.neighborhood.grid.feeder_seed` of the spec seed — feeder
@@ -145,10 +146,10 @@ class FeederPlan:
     ``neighborhood`` kind bit-for-bit.
     """
 
-    homes: int = 20
-    mix: str = "suburb"
-    rate_jitter: float = 0.25
-    size_jitter: float = 0.2
+    homes: int = FleetPlan.homes
+    mix: str = FleetPlan.mix
+    rate_jitter: float = FleetPlan.rate_jitter
+    size_jitter: float = FleetPlan.size_jitter
 
 
 @dataclass(frozen=True)

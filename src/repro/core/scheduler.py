@@ -95,58 +95,10 @@ class SchedulerConfig:
 _PLAN_MEMO: dict[tuple, list[AdmissionDecision]] = {}
 _PLAN_MEMO_MAX = 32
 
-#: Incremental planning traces keyed ``(projected intervals, config,
-#: now)`` — the view-diff companion to the exact memo.  Planning reads a
-#: view's statuses through exactly two projections: the claimed-burst
-#: intervals of active devices (:func:`_claimed_intervals`) and one
-#: ``(active, weight)`` snapshot per processed announcement — so the
-#: trace keys on those *contents*, not on exact status equality.  Status
-#: churn that leaves both projections unchanged (version bumps, inactive
-#: devices flipping fields planning never reads, merged duplicates)
-#: lands on the same trace, which is what makes per-epoch online
-#: replanning sub-linear in the unchanged homes.  Orders that share a
-#: prefix of ``(announcement, snapshot)`` pairs replay from the prefix
-#: checkpoint and re-plan only the divergent suffix; planning is a
-#: sequential state evolution whose per-item state (decision list,
-#: projected-interval list) only ever *appends* — bit-identical to
-#: planning from scratch, by purity.
-_PLAN_TRACES: dict[tuple, "_PlanTrace"] = {}
-_PLAN_TRACES_MAX = 32
-
-#: observability counters of the trace layer, for tests and the replan
-#: benchmarks: trace ``hits``/``misses`` plus how many admissions were
-#: ``reused`` from a trace prefix vs ``planned`` fresh
-PLAN_TRACE_STATS = {"hits": 0, "misses": 0, "reused": 0, "planned": 0}
-
 
 def reset_plan_caches() -> None:
-    """Drop the planner memo, traces and counters (tests/benchmarks)."""
+    """Drop the planner memo (tests/benchmarks)."""
     _PLAN_MEMO.clear()
-    _PLAN_TRACES.clear()
-    for key in PLAN_TRACE_STATS:
-        PLAN_TRACE_STATS[key] = 0
-
-
-class _PlanTrace:
-    """Replayable planning state over one ``(intervals, config, now)``."""
-
-    __slots__ = ("pending", "decisions", "intervals", "checkpoints",
-                 "snapshots")
-
-    def __init__(self, intervals: list):
-        #: admission order processed so far (announcement values)
-        self.pending: list[RequestAnnouncement] = []
-        self.decisions: list[AdmissionDecision] = []
-        #: base projected intervals + one append per placed cycle
-        self.intervals = intervals
-        #: ``(len(decisions), len(intervals))`` before item 0 and after
-        #: every processed item — the suffix-replay entry points
-        self.checkpoints: list[tuple[int, int]] = [(0, len(intervals))]
-        #: the ``(active, weight)`` status projection each processed
-        #: announcement was planned under — prefix reuse requires the
-        #: current view to project identically, announcement by
-        #: announcement
-        self.snapshots: list[tuple[bool, float]] = []
 
 
 def _config_key(config: SchedulerConfig) -> tuple:
@@ -164,22 +116,18 @@ def plan_admissions(view: SharedView, config: SchedulerConfig,
     paper's one-by-one ``(arrival, id)`` order; requests for already-active
     devices extend demand without moving the claim.
 
-    Two reuse layers make the N-DI re-planning cheap, both bit-identical
-    by purity: the exact-content memo (``_PLAN_MEMO``) collapses fully
-    converged views into one computation, and the view-diff traces
-    (``_PLAN_TRACES``) let views that diverge only in their pending tail
-    re-plan just the affected suffix of the admission order.
+    The exact-content memo (``_PLAN_MEMO``) makes the N-DI re-planning
+    cheap, bit-identical by purity: fully converged views collapse into
+    one computation.
     """
-    statuses_part, pending_part = view.plan_key()
-    config_part = _config_key(config)
-    key = (statuses_part, pending_part, config_part, now)
+    key = (*view.plan_key(), _config_key(config), now)
     cached = _PLAN_MEMO.get(key)
     if cached is not None:
         return list(cached)
     if config.mode == "grid":
         decisions = _plan_grid(view, config, now)
     else:
-        decisions = _plan_stagger(view, config, now, config_part)
+        decisions = _plan_stagger(view, config, now)
     if len(_PLAN_MEMO) >= _PLAN_MEMO_MAX:
         _PLAN_MEMO.clear()
     _PLAN_MEMO[key] = decisions
@@ -305,104 +253,44 @@ def _pick_start(intervals: list[tuple[float, float, float]],
     return float(best_u)
 
 
-def _plan_stagger(view: SharedView, config: SchedulerConfig, now: float,
-                  config_part: tuple) -> list[AdmissionDecision]:
-    """Stagger-mode planning with status-diff-aware suffix reuse.
+def _plan_stagger(view: SharedView, config: SchedulerConfig,
+                  now: float) -> list[AdmissionDecision]:
+    """Process the pending requests one by one (the paper's order).
 
-    The trace is keyed on the *projections* of the statuses that
-    planning actually reads — the claimed-interval table plus, per
-    announcement, an ``(active, weight)`` snapshot — so views whose
-    statuses differ in ways planning never observes share one trace
-    (``statuses_part`` is left to the exact-content memo upstream).
-    This pass replays the longest prefix of its own admission order the
-    trace has seen *under identical snapshots* and computes only the
-    divergent suffix.  A pass that extends the trace's order grows the
-    trace in place for the next DI.
-    """
-    pending = view.pending_ordered()
-    horizon_end = now + 2.0 * config.spec.max_dcp
-    base_intervals = _claimed_intervals(view, config, now, horizon_end)
-    trace_key = (tuple(base_intervals), config_part, now)
-    trace = _PLAN_TRACES.get(trace_key)
-    if trace is None:
-        PLAN_TRACE_STATS["misses"] += 1
-        trace = _PlanTrace(base_intervals)
-        if len(_PLAN_TRACES) >= _PLAN_TRACES_MAX:
-            _PLAN_TRACES.clear()
-        _PLAN_TRACES[trace_key] = trace
-    else:
-        PLAN_TRACE_STATS["hits"] += 1
-    shared = min(len(trace.pending), len(pending))
-    prefix = 0
-    while prefix < shared and trace.pending[prefix] == pending[prefix] \
-            and trace.snapshots[prefix] == _status_snapshot(
-                view, pending[prefix], config):
-        prefix += 1
-    PLAN_TRACE_STATS["reused"] += prefix
-    PLAN_TRACE_STATS["planned"] += len(pending) - prefix
-    if prefix == len(trace.pending) and prefix < len(pending):
-        # The trace's whole order is our prefix: extend it in place.
-        planned = {d.device_id: d for d in trace.decisions
-                   if not d.extends}
-        _stagger_suffix(view, config, now, pending, prefix,
-                        trace.decisions, trace.intervals, planned, trace)
-        trace.pending = list(pending)
-        return list(trace.decisions)
-    # Divergent (or shorter) order: replay the shared prefix from its
-    # checkpoint, plan the rest privately — the trace keeps its branch.
-    n_decisions, n_intervals = trace.checkpoints[prefix]
-    decisions = list(trace.decisions[:n_decisions])
-    intervals = list(trace.intervals[:n_intervals])
-    planned = {d.device_id: d for d in decisions if not d.extends}
-    _stagger_suffix(view, config, now, pending, prefix, decisions,
-                    intervals, planned, None)
-    return decisions
-
-
-def _stagger_suffix(view: SharedView, config: SchedulerConfig, now: float,
-                    pending: list, start_index: int,
-                    decisions: list, intervals: list, planned: dict,
-                    trace: Optional[_PlanTrace]) -> None:
-    """Process ``pending[start_index:]`` one by one (the paper's order).
-
-    Appends to ``decisions``/``intervals`` in place; when ``trace`` is
-    given, records a checkpoint plus the item's status snapshot after
-    every item so later passes can branch anywhere in the order and
-    verify the prefix was planned under identical status projections.
+    A request for a device that already runs, or that an earlier request
+    in this pass placed, extends demand; any other claims the
+    least-overlapping start, and its projected bursts join the intervals
+    later placements avoid.
     """
     spec = config.spec
-    for announcement in pending[start_index:]:
-        snapshot = _status_snapshot(view, announcement, config)
-        active, weight = snapshot
-        if active:
+    intervals = _claimed_intervals(view, config, now,
+                                   now + 2.0 * spec.max_dcp)
+    decisions: list[AdmissionDecision] = []
+    planned: set[int] = set()
+    for announcement in view.pending_ordered():
+        status = view.status_of(announcement.device_id)
+        if (status is not None and status.active) \
+                or announcement.device_id in planned:
             decisions.append(AdmissionDecision(
                 request_id=announcement.request_id,
                 device_id=announcement.device_id,
                 extends=True,
                 demand_cycles=announcement.demand_cycles))
-        elif announcement.device_id in planned:
-            decisions.append(AdmissionDecision(
-                request_id=announcement.request_id,
-                device_id=announcement.device_id,
-                extends=True,
-                demand_cycles=announcement.demand_cycles))
-        else:
-            start = _pick_start(intervals, config, now)
-            for k in range(announcement.demand_cycles):
-                intervals.append((start + k * spec.max_dcp,
-                                  start + k * spec.max_dcp + spec.min_dcd,
-                                  weight))
-            decision = AdmissionDecision(
-                request_id=announcement.request_id,
-                device_id=announcement.device_id,
-                extends=False,
-                demand_cycles=announcement.demand_cycles,
-                start_time=start)
-            planned[announcement.device_id] = decision
-            decisions.append(decision)
-        if trace is not None:
-            trace.checkpoints.append((len(decisions), len(intervals)))
-            trace.snapshots.append(snapshot)
+            continue
+        start = _pick_start(intervals, config, now)
+        weight = _weight_of(view, announcement, config)
+        for k in range(announcement.demand_cycles):
+            intervals.append((start + k * spec.max_dcp,
+                              start + k * spec.max_dcp + spec.min_dcd,
+                              weight))
+        planned.add(announcement.device_id)
+        decisions.append(AdmissionDecision(
+            request_id=announcement.request_id,
+            device_id=announcement.device_id,
+            extends=False,
+            demand_cycles=announcement.demand_cycles,
+            start_time=start))
+    return decisions
 
 
 # ---------------------------------------------------------------------------
@@ -476,21 +364,6 @@ def _weight_of(view: SharedView, announcement: RequestAnnouncement,
     if status is not None and status.power_w > 0:
         return status.power_w
     return announcement.power_w
-
-
-def _status_snapshot(view: SharedView, announcement: RequestAnnouncement,
-                     config: SchedulerConfig) -> tuple[bool, float]:
-    """Everything stagger planning reads from one announcement's status.
-
-    ``(active, weight)``: whether the device already runs (the request
-    extends demand instead of claiming a start) and the load weight a
-    fresh placement would project.  Trace prefix reuse compares these
-    snapshots instead of whole statuses — the content-true equality the
-    view-diff planner keys on.
-    """
-    status = view.status_of(announcement.device_id)
-    active = status is not None and status.active
-    return (active, _weight_of(view, announcement, config))
 
 
 def decisions_for_device(decisions: list[AdmissionDecision],

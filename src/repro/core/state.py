@@ -63,24 +63,10 @@ class CpItem:
 
 @dataclass
 class SharedView:
-    """A DI's best knowledge of every device and outstanding request.
-
-    :attr:`change_epoch` counts effective mutations — it advances exactly
-    when a merge changed what the scheduler could read, never on
-    idempotent re-deliveries — so planners can tell *whether* (and
-    callers caching derived keys, *when*) a view moved since they last
-    looked (see :meth:`plan_key` and
-    :func:`repro.core.scheduler.plan_admissions`).
-    """
+    """A DI's best knowledge of every device and outstanding request."""
 
     statuses: dict[int, DeviceStatus] = field(default_factory=dict)
     pending: dict[int, RequestAnnouncement] = field(default_factory=dict)
-    #: monotone count of effective mutations (excluded from comparisons —
-    #: two views with equal content are equal whatever their histories)
-    change_epoch: int = field(default=0, compare=False)
-    #: cached :meth:`plan_key` content parts + the epoch they describe
-    _key_cache: Optional[tuple] = field(default=None, repr=False,
-                                        compare=False)
 
     def merge_item(self, item: CpItem) -> bool:
         """Fold one received payload in; True if anything changed."""
@@ -89,14 +75,8 @@ class SharedView:
             if self._admittable(announcement):
                 if announcement.request_id not in self.pending:
                     self.pending[announcement.request_id] = announcement
-                    self._mutated()
                     changed = True
         return changed
-
-    def _mutated(self) -> None:
-        """Advance the epoch (and drop caches) after an effective change."""
-        self.change_epoch += 1
-        self._key_cache = None
 
     def merge_items(self, items: Iterable[CpItem]) -> bool:
         """Fold several payloads; True if anything changed."""
@@ -114,7 +94,6 @@ class SharedView:
             self._clear_admitted(existing)
             return False
         self.statuses[status.device_id] = status
-        self._mutated()
         self._clear_admitted(status)
         return True
 
@@ -130,27 +109,17 @@ class SharedView:
                  and rid <= status.last_admitted_request]
         for rid in stale:
             del self.pending[rid]
-        if stale:
-            self._mutated()
 
     # -- queries --------------------------------------------------------------
 
     def plan_key(self) -> tuple[tuple, tuple]:
         """``(statuses_part, pending_part)`` — everything planning reads.
 
-        Full value tuples (hash collisions degrade to dict probes, never
-        wrong plans), cached against :attr:`change_epoch` so the O(D log D)
-        sort is paid once per effective view change instead of once per
-        planning call — most calls in a CP round hit views that did not
-        move since the last round's key build.
+        Full value tuples, so hash collisions degrade to dict probes,
+        never wrong plans.
         """
-        cache = self._key_cache
-        if cache is not None and cache[0] == self.change_epoch:
-            return cache[1]
-        key = (tuple(sorted(self.statuses.items())),
-               tuple(sorted(self.pending.items())))
-        self._key_cache = (self.change_epoch, key)
-        return key
+        return (tuple(sorted(self.statuses.items())),
+                tuple(sorted(self.pending.items())))
 
     def active_statuses(self) -> list[DeviceStatus]:
         """Devices currently executing (sorted by id, deterministic)."""

@@ -15,6 +15,7 @@ import hashlib
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
+from repro.api.spec import FleetPlan
 from repro.core.system import FIDELITIES, POLICIES, HanConfig
 from repro.sim.rng import RandomStreams
 from repro.workloads.scenarios import FLEET_MIXES, HOME_ARCHETYPES, Scenario
@@ -87,11 +88,11 @@ def _pick_archetype(weights: Sequence[tuple[str, float]],
     return weights[-1][0]
 
 
-def build_fleet(n_homes: int, mix: str = "suburb", seed: int = 1,
+def build_fleet(n_homes: int, mix: str = FleetPlan.mix, seed: int = 1,
                 policy: str = "coordinated", cp_fidelity: str = "round",
                 horizon: Optional[float] = None,
-                rate_jitter: float = 0.25,
-                size_jitter: float = 0.2) -> FleetSpec:
+                rate_jitter: float = FleetPlan.rate_jitter,
+                size_jitter: float = FleetPlan.size_jitter) -> FleetSpec:
     """Build a heterogeneous ``n_homes``-home fleet from a named mix.
 
     Per-home randomness comes from the stream ``fleet/home-<i>``, so each

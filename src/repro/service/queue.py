@@ -40,7 +40,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, TypeVar, Union
 
 try:  # pragma: no cover - exercised per-platform
     import fcntl
@@ -49,6 +49,8 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 from repro.api.cache import writer_tag
 from repro.api.spec import ExperimentSpec, spec_hash
+
+_T = TypeVar("_T")
 
 #: Seconds a lease stays valid between heartbeats before the job is
 #: considered abandoned and eligible for re-lease.
@@ -205,6 +207,18 @@ class JobQueue:
         except (OSError, ValueError):
             return None
 
+    @classmethod
+    def _load(cls, path: Path, parse: Callable[[dict], _T]) -> Optional[_T]:
+        """``parse`` of the record at ``path``; ``None`` when it is
+        missing, truncated, or parses into a garbled record."""
+        data = cls._read_json(path)
+        if data is None:
+            return None
+        try:
+            return parse(data)
+        except (KeyError, TypeError, ValueError):
+            return None
+
     def _journal(self, event: str, job_id: str,
                  worker: Optional[str] = None,
                  now: Optional[float] = None, **extra) -> None:
@@ -224,10 +238,13 @@ class JobQueue:
 
     @staticmethod
     def _job_from(data: dict) -> JobRecord:
+        spec_data = data.get("spec", {})
+        if not isinstance(spec_data, dict):
+            raise TypeError("job spec is not a JSON object")
         return JobRecord(
             job_id=str(data["job_id"]), name=str(data.get("name", "?")),
             kind=str(data.get("kind", "?")),
-            spec_data=dict(data.get("spec", {})),
+            spec_data=dict(spec_data),
             submitted=float(data.get("submitted", 0.0)),
             state=str(data.get("state", "pending")),
             attempts=int(data.get("attempts", 0)),
@@ -298,10 +315,9 @@ class JobQueue:
         unknown jobs and no-ops on jobs already pending/running.
         """
         with self._locked():
-            data = self._read_json(self._job_path(job_id))
-            if data is None:
+            record = self.job(job_id)
+            if record is None:
                 return False
-            record = self._job_from(data)
             if record.state in ("pending", "running"):
                 return True
             fresh = JobRecord(
@@ -316,22 +332,20 @@ class JobQueue:
 
     def job(self, job_id: str) -> Optional[JobRecord]:
         """The job record, or ``None`` for unknown/corrupt ids."""
-        data = self._read_json(self._job_path(job_id))
-        return self._job_from(data) if data else None
+        return self._load(self._job_path(job_id), self._job_from)
 
     def lease_of(self, job_id: str) -> Optional[LeaseRecord]:
         """The current lease on a job, if any (may be expired)."""
-        data = self._read_json(self._lease_path(job_id))
-        return self._lease_from(data) if data else None
+        return self._load(self._lease_path(job_id), self._lease_from)
 
     def jobs(self) -> list[JobRecord]:
         """Every job record, oldest submission first."""
         records = []
         if self.jobs_dir.is_dir():
             for path in self.jobs_dir.glob("*.json"):
-                data = self._read_json(path)
-                if data:
-                    records.append(self._job_from(data))
+                record = self._load(path, self._job_from)
+                if record is not None:
+                    records.append(record)
         records.sort(key=lambda record: (record.submitted, record.job_id))
         return records
 
@@ -464,10 +478,9 @@ class JobQueue:
                 self._journal("stale-done", job_id, worker=worker,
                               now=stamp)
                 return False
-            data = self._read_json(self._job_path(job_id))
-            if data is None:
+            record = self.job(job_id)
+            if record is None:
                 raise QueueError(f"job {job_id!r} has no record")
-            record = self._job_from(data)
             done = JobRecord(
                 job_id=record.job_id, name=record.name, kind=record.kind,
                 spec_data=record.spec_data, submitted=record.submitted,
@@ -497,10 +510,9 @@ class JobQueue:
                 self._journal("stale-fail", job_id, worker=worker,
                               now=stamp)
                 return False
-            data = self._read_json(self._job_path(job_id))
-            if data is None:
+            record = self.job(job_id)
+            if record is None:
                 raise QueueError(f"job {job_id!r} has no record")
-            record = self._job_from(data)
             state = "failed" if record.attempts >= self.max_attempts \
                 else "pending"
             updated = JobRecord(

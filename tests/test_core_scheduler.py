@@ -317,23 +317,44 @@ def test_plan_memo_distinguishes_now_and_view():
     assert len(_PLAN_MEMO) == 3
 
 
-# -- view-diff incremental planning (PR 5) ------------------------------------
+# -- memo vs cold planning pass ----------------------------------------------
 
 
 def _fresh_caches():
     from repro.core import scheduler as sched
     sched._PLAN_MEMO.clear()
-    sched._PLAN_TRACES.clear()
 
 
 def _cold_plan(view, cfg, now):
-    """Plan with every reuse layer dropped — the ground-truth pass."""
+    """Plan with the memo dropped — the ground-truth pass."""
     _fresh_caches()
     return plan_admissions(view, cfg, now)
 
 
+def _assert_plans_match_cold(views, now):
+    """Planning ``views`` back to back, either way round, matches cold."""
+    expected = [_cold_plan(view, config(), now) for view in views]
+    for order in (range(len(views)), reversed(range(len(views)))):
+        _fresh_caches()
+        for index in order:
+            assert plan_admissions(views[index], config(), now) \
+                == expected[index], index
+    return expected
+
+
+def _inactive_view(n_devices, pending, versions=None):
+    """``n_devices`` idle devices; announcement ``100 + i`` per index i."""
+    versions = versions or {}
+    return view_with(
+        statuses=[status(d, version=versions.get(d, 1))
+                  for d in range(1, n_devices + 1)],
+        announcements=[announcement(100 + i, 1 + i % n_devices,
+                                    arrival=float(i))
+                       for i in pending])
+
+
 def test_suffix_replan_matches_cold_plan_on_pending_extension():
-    """Trace reuse: same statuses, one extra trailing announcement."""
+    """Same statuses, extra trailing announcements."""
     statuses = [status(1), status(2), status(3)]
     shorter = view_with(statuses=statuses,
                         announcements=[announcement(10, 1, arrival=1.0),
@@ -342,16 +363,7 @@ def test_suffix_replan_matches_cold_plan_on_pending_extension():
                        announcements=[announcement(10, 1, arrival=1.0),
                                       announcement(11, 2, arrival=2.0),
                                       announcement(12, 3, arrival=3.0)])
-    expected_short = _cold_plan(shorter, config(), 5.0)
-    expected_long = _cold_plan(longer, config(), 5.0)
-    _fresh_caches()
-    assert plan_admissions(shorter, config(), 5.0) == expected_short
-    # Second pass rides the first one's trace; must stay bit-identical.
-    assert plan_admissions(longer, config(), 5.0) == expected_long
-    # And in reverse order (prefix replay instead of extension).
-    _fresh_caches()
-    assert plan_admissions(longer, config(), 5.0) == expected_long
-    assert plan_admissions(shorter, config(), 5.0) == expected_short
+    _assert_plans_match_cold([shorter, longer], 5.0)
 
 
 def test_suffix_replan_matches_cold_plan_on_divergent_tail():
@@ -365,13 +377,20 @@ def test_suffix_replan_matches_cold_plan_on_divergent_tail():
     fork_b = view_with(statuses=statuses,
                        announcements=base + [announcement(23, 4,
                                                           arrival=3.5)])
-    expected_a = _cold_plan(fork_a, config(), 4.0)
-    expected_b = _cold_plan(fork_b, config(), 4.0)
-    _fresh_caches()
-    assert plan_admissions(fork_a, config(), 4.0) == expected_a
-    assert plan_admissions(fork_b, config(), 4.0) == expected_b
-    # The forked pass must not have corrupted the original trace.
-    assert plan_admissions(fork_a, config(), 4.0) == expected_a
+    _assert_plans_match_cold([fork_a, fork_b, fork_a], 4.0)
+
+
+def test_memo_matches_cold_plan_under_inactive_version_churn():
+    """Version bumps on idle devices change the memo key, not the plan;
+    a device that starts running changes both."""
+    claimed = _inactive_view(6, range(5))
+    claimed.merge_item(CpItem(status(6, version=2, active=True,
+                                     remaining=2, burst=0.0)))
+    baseline, churned, running = _assert_plans_match_cold(
+        [_inactive_view(6, range(5)),
+         _inactive_view(6, range(5), versions={3: 7, 5: 9}), claimed], 0.0)
+    assert churned == baseline
+    assert running != baseline
 
 
 @settings(max_examples=25, deadline=None)
@@ -402,17 +421,9 @@ def test_randomized_trace_reuse_is_bit_identical(data):
             == expected[index], index
 
 
-def test_view_change_epoch_advances_only_on_effective_change():
+def test_view_merge_reports_only_effective_changes():
     view = SharedView()
     item = CpItem(status(1, version=1), (announcement(5, 1),))
-    before = view.change_epoch
     assert view.merge_item(item)
-    after_first = view.change_epoch
-    assert after_first > before
     assert not view.merge_item(item)  # idempotent re-delivery
-    assert view.change_epoch == after_first
-    key_one = view.plan_key()
-    assert view.plan_key() is key_one  # cached while the view is quiet
     assert view.merge_item(CpItem(status(1, version=2, last_admitted=5)))
-    assert view.change_epoch > after_first
-    assert view.plan_key() is not key_one

@@ -10,19 +10,23 @@ The golden uplift lock follows the policy in ``docs/regression-policy.md``.
 """
 
 import math
+import random
 
 import pytest
 
 from repro.neighborhood import (
     FeederConfig,
+    FeederPlane,
     build_fleet,
     negotiate_offsets,
+    renegotiate_offsets,
     phase_envelope,
     rotate_series,
     execute_fleet,
 )
 from repro.sim.monitor import StepSeries
 from repro.sim.units import MINUTE
+from repro.st.rounds import CpStats
 
 HORIZON = 90 * MINUTE
 
@@ -143,6 +147,100 @@ def test_negotiation_converges_and_stops():
     # should notice within two sweeps.
     assert claims == {0: 0, 1: 0}
     assert sweeps <= 2
+
+
+# -- brute-force claim-round oracle -------------------------------------------
+
+
+def _oracle_best_shift(home_ids, envelopes, claims, node, shifts):
+    """``FeederPlane._best_shift`` as plain loops: per-bin sums of the
+    others' rolled envelopes in home order, then the same tie keys
+    (smallest peak, the current claim within 1e-9, earliest shift)."""
+    bins = len(envelopes[node])
+
+    def rolled(home, shift, j):
+        return envelopes[home][(j - shift) % bins]
+
+    others = []
+    for j in range(bins):
+        total = 0.0
+        for home in home_ids:
+            if home != node:
+                total += rolled(home, claims[home], j)
+        others.append(total)
+    peaks = [max(others[j] + rolled(node, shift, j) for j in range(bins))
+             for shift in range(shifts)]
+    floor = min(peaks)
+    ties = [shift for shift in range(shifts) if peaks[shift] <= floor + 1e-9]
+    return claims[node] if claims[node] in ties else ties[0]
+
+
+def _oracle_sweeps(home_ids, envelopes, claims, shifts, tokens,
+                   deliveries, max_sweeps):
+    """The claim loop over :func:`_oracle_best_shift`."""
+    claims = dict(claims)
+    rounds = sweeps = 0
+    for _sweep in range(max_sweeps):
+        moved = False
+        for token in tokens:
+            rounds += 1
+            best = _oracle_best_shift(home_ids, envelopes, claims, token,
+                                      shifts)
+            moved = moved or best != claims[token]
+            claims[token] = best
+        sweeps += 1
+        if not moved:
+            break
+    return claims, CpStats(rounds_total=rounds, rounds_active=rounds,
+                           deliveries=rounds * deliveries), sweeps
+
+
+def _random_envelopes(rng, home_ids, bins, levels):
+    return {home: tuple(rng.choice(levels) for _ in range(bins))
+            for home in home_ids}
+
+
+#: ``(homes, bins, shifts, levels)``: coarse integer levels force exact
+#: ties, levels 4e-10 apart force ties inside the 1e-9 tolerance; fine
+#: random levels exercise float sums; one all-zero fleet and one single
+#: home.
+ORACLE_CASES = [
+    (5, 8, 8, (0.0, 1000.0, 2000.0)),
+    (5, 8, 8, (0.0, 1000.0, 1000.0000000004)),
+    (7, 12, 6, (0.0, 500.0)),
+    (6, 10, 10, None),
+    (4, 6, 6, (0.0,)),
+    (1, 8, 8, None),
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("homes,bins,shifts,levels", ORACLE_CASES)
+def test_claim_rounds_match_brute_force_oracle(seed, homes, bins, shifts,
+                                               levels):
+    rng = random.Random(seed)
+    levels = levels or tuple(rng.uniform(0.0, 3000.0) for _ in range(9))
+    home_ids = rng.sample(range(100), homes)  # not sorted: home order
+    config = FeederConfig(max_sweeps=5)
+    envelopes = _random_envelopes(rng, home_ids, bins, levels)
+    zero = {home: 0 for home in home_ids}
+    claims, stats, sweeps = negotiate_offsets(home_ids, envelopes, shifts,
+                                              config)
+    assert (claims, stats, sweeps) == _oracle_sweeps(
+        home_ids, envelopes, zero, shifts, home_ids, homes * homes,
+        config.max_sweeps)
+    # An online epoch: some homes re-publish, only they claim again.
+    plane = FeederPlane(home_ids, envelopes, shifts, claims=claims)
+    changed = rng.sample(home_ids, rng.randint(0, homes))
+    moved = dict(envelopes)
+    for home in changed:
+        moved[home] = _random_envelopes(rng, [home], bins, levels)[home]
+        plane.update_envelope(home, moved[home])
+    tokens = [home for home in home_ids if home in changed]
+    expected = (_oracle_sweeps(home_ids, moved, claims, shifts, tokens,
+                               homes, config.max_sweeps) if tokens
+                else (claims, CpStats(), 0))
+    assert renegotiate_offsets(plane, changed, config) == expected
 
 
 # -- conservation invariants on a real fleet ----------------------------------

@@ -17,9 +17,9 @@ The acceptance contract of the PR 8 online plane, as tests:
 * **forecaster ladder** — each baseline's defining identity (zeros
   before history, persistence = previous window, alpha=1 EWMA =
   persistence, seeded noise keyed on (home, window) not call order);
-* **planner trace reuse** — the view-diff scheduler traces that make
-  epoch 2+ replanning sub-linear actually hit and reuse across status
-  churn planning never observes.
+* **epoch replanning** — a later epoch's planning pass over a grown or
+  branched pending order, run with the memo warm, plans exactly what a
+  cold pass plans.
 """
 
 import hashlib
@@ -28,7 +28,7 @@ import pytest
 
 from repro.core import CpItem, SchedulerConfig, SharedView, \
     plan_admissions
-from repro.core.scheduler import PLAN_TRACE_STATS, reset_plan_caches
+from repro.core.scheduler import reset_plan_caches
 from repro.forecast import (
     EwmaForecaster,
     NoisyForecaster,
@@ -310,7 +310,7 @@ def test_feeder_mode_unchanged_by_forecast_plumbing(fleet, results):
     assert plain.offsets_s == again.offsets_s
 
 
-# -- scheduler view-diff trace reuse ----------------------------------------
+# -- epoch replanning: warm memo vs cold pass --------------------------------
 
 
 def _sched_config():
@@ -346,45 +346,31 @@ def test_trace_reuses_shared_prefix_and_plans_only_the_tail():
     config, view = _sched_config(), _view
     reset_plan_caches()
     first = plan_admissions(view(6, 4), config, now=0.0)
-    assert PLAN_TRACE_STATS == {"hits": 0, "misses": 1, "reused": 0,
-                                "planned": 4}
     second = plan_admissions(view(6, 6), config, now=0.0)
-    assert PLAN_TRACE_STATS["hits"] == 1
-    assert PLAN_TRACE_STATS["reused"] == 4
-    assert PLAN_TRACE_STATS["planned"] == 4 + 2
+    assert [d.request_id for d in first] == [100, 101, 102, 103]
+    assert [d.request_id for d in second] == list(range(100, 106))
     # Bit-identical to planning from scratch, by purity.
     reset_plan_caches()
     assert plan_admissions(view(6, 6), config, now=0.0) == second
-    assert second[:len(first)] == first
-
-
-def test_status_churn_planning_never_reads_lands_on_the_same_trace():
-    config, view = _sched_config(), _view
     reset_plan_caches()
-    baseline = plan_admissions(view(6, 5), config, now=0.0)
-    churned = plan_admissions(view(6, 5, versions={3: 7, 5: 9}), config,
-                              now=0.0)
-    # Version bumps on inactive devices: memo key differs (exact content)
-    # but the planning projections are identical, so the trace fully
-    # covers the order — everything reused, nothing re-planned.
-    assert churned == baseline
-    assert PLAN_TRACE_STATS["hits"] == 1
-    assert PLAN_TRACE_STATS["misses"] == 1
-    assert PLAN_TRACE_STATS["planned"] == 5
-    assert PLAN_TRACE_STATS["reused"] == 5
+    assert plan_admissions(view(6, 4), config, now=0.0) == first
+    # One-by-one admission: the grown order extends the shorter plan.
+    assert second[:len(first)] == first
 
 
 def test_divergent_pending_tail_branches_from_checkpoint():
     config, view = _sched_config(), _view
     reset_plan_caches()
     base = view(4, 3)
-    plan_admissions(base, config, now=0.0)
-    # Same first two announcements, different third: prefix 2 reused.
+    base_plan = plan_admissions(base, config, now=0.0)
+    # Same first two announcements, different third.
     branched = view(4, 3)
     del branched.pending[102]
     branched.pending[150] = _announcement(150, 4, arrival=9.0)
     branched_plan = plan_admissions(branched, config, now=0.0)
-    assert PLAN_TRACE_STATS["hits"] == 1
-    assert PLAN_TRACE_STATS["reused"] == 2
+    assert [d.request_id for d in branched_plan] == [100, 101, 150]
+    assert branched_plan[:2] == base_plan[:2]
     reset_plan_caches()
     assert plan_admissions(branched, config, now=0.0) == branched_plan
+    # The branch left the base order's plan untouched.
+    assert plan_admissions(base, config, now=0.0) == base_plan

@@ -209,3 +209,44 @@ def test_records_are_whole_json_files(queue):
         (queue.leases_dir / f"{job_id}.json").read_text())
     assert job_data["state"] == "running"
     assert lease_data["worker"] == "alpha"
+
+
+# -- garbled records ------------------------------------------------------
+
+#: Records that parse as JSON objects but not as a job or lease: each
+#: must degrade like a truncated file, never stall the queue.
+GARBLED = {
+    "missing-job-id": ("job", lambda job_id: {"name": "x",
+                                              "state": "pending"}),
+    "non-int-attempts": ("job", lambda job_id: {"job_id": job_id,
+                                                "attempts": "many"}),
+    "non-dict-spec": ("job", lambda job_id: {"job_id": job_id,
+                                             "spec": "garbled"}),
+    "lease-without-worker": ("lease", lambda job_id: {"job_id": job_id,
+                                                      "deadline": 1e9}),
+}
+
+
+@pytest.mark.parametrize("target,garbled", GARBLED.values(), ids=GARBLED)
+def test_garbled_records_are_skipped_like_truncated_ones(queue, target,
+                                                         garbled):
+    first, _ = queue.submit(tiny_spec(seed=1), now=10.0)
+    second, _ = queue.submit(tiny_spec(seed=2), now=20.0)
+    if target == "job":
+        (queue.jobs_dir / f"{first}.json").write_text(
+            json.dumps(garbled(first)))
+        assert queue.job(first) is None
+        assert [record.job_id for record in queue.jobs()] == [second]
+        assert queue.counts()["pending"] == 1
+    else:
+        queue.lease("w1", now=30.0)
+        (queue.leases_dir / f"{first}.json").write_text(
+            json.dumps(garbled(first)))
+        assert queue.lease_of(first) is None
+        assert not queue.heartbeat(first, "w1", now=31.0)
+        # An unreadable lease is a missing one: the running job is
+        # taken over like any lost lease, then the queue moves on.
+        record, _lease = queue.lease("w2", now=32.0)
+        assert (record.job_id, record.attempts) == (first, 2)
+    record, _lease = queue.lease("w3", now=40.0)
+    assert record.job_id == second

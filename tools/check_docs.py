@@ -23,6 +23,10 @@ docs drift:
    kind, every top-level field, every field of each section (under the
    section's own heading) and every artefact kind, all read from the
    schema in :mod:`repro.api.spec` and :data:`repro.api.compile.ARTEFACTS`.
+6. **Symbols** — every backticked ``repro.…`` dotted name in
+   ``README.md`` and ``docs/*.md`` (a call's name before its ``(``
+   included) imports and resolves attribute by attribute, so a page
+   never names deleted API.
 
 Usage::
 
@@ -80,6 +84,7 @@ API_MODULES = [
 ]
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+SYMBOL_RE = re.compile(r"`(repro(?:\.\w+)+)[`(]")
 FENCE_RE = re.compile(r"^```(\w*)\s*$")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
 
@@ -243,6 +248,40 @@ def check_spec_reference() -> None:
             ok(f"{page.name}: {where} names all {len(tokens)} entries")
 
 
+def resolve_symbol(name: str) -> bool:
+    """Whether dotted ``name`` imports: its longest module prefix, then
+    ``getattr`` for each remaining part."""
+    import importlib
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        module_name = ".".join(parts[:cut])
+        try:
+            obj = importlib.import_module(module_name)
+        except ModuleNotFoundError as exc:
+            if exc.name is not None and module_name.startswith(exc.name):
+                continue  # not a module: try a shorter prefix
+            raise
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def check_symbols() -> None:
+    print("== symbols ==")
+    for doc in DOC_FILES:
+        names = sorted(set(SYMBOL_RE.findall(doc.read_text())))
+        broken = [name for name in names if not resolve_symbol(name)]
+        if broken:
+            fail(f"{doc.relative_to(REPO_ROOT)}: unresolved names: "
+                 f"{', '.join(broken)}")
+        elif names:
+            ok(f"{doc.relative_to(REPO_ROOT)}: all {len(names)} "
+               f"repro.* names resolve")
+
+
 # ---------------------------------------------------------------------------
 # 3. fenced snippets
 # ---------------------------------------------------------------------------
@@ -401,6 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     check_links()
     check_api_docstrings()
     check_spec_reference()
+    check_symbols()
     with tempfile.TemporaryDirectory(prefix="check-docs-") as tmp_dir:
         check_snippets(args.skip_slow, args.list, tmp_dir)
         check_examples(args.list, tmp_dir)
