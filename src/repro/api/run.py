@@ -165,7 +165,6 @@ EXECUTORS = ("local", "service")
 
 
 def run(spec: ExperimentSpec, jobs: int = 1,
-        mp_context: Optional[str] = None,
         cache: "CacheLike" = None,
         shard_size: Optional[int] = None,
         executor="local") -> Result:
@@ -223,28 +222,28 @@ def run(spec: ExperimentSpec, jobs: int = 1,
             hit = store.get(spec, spec_digest=provenance.spec_hash)
             if hit is not None:
                 return hit
-        result = _execute(spec, provenance, jobs, mp_context, shard_size)
+        result = _execute(spec, provenance, jobs, shard_size)
         if store is not None:
             store.put(spec, result, spec_digest=provenance.spec_hash)
     return result
 
 
 def _execute(spec: ExperimentSpec, provenance: Provenance, jobs: int,
-             mp_context: Optional[str], shard_size: Optional[int],
+             shard_size: Optional[int],
              shard_executor=None) -> Result:
     """Run a validated spec: the cache-miss path of :func:`run`, and
     of :func:`repro.service.worker.execute_job` with its checkpointing
     ``shard_executor``.  Both callers hold the spec's fault scope."""
     from repro.experiments.runner import ParallelRunner
     if spec.kind in ("single", "sweep"):
-        runner = ParallelRunner(jobs=jobs, mp_context=mp_context)
+        runner = ParallelRunner(jobs=jobs)
         runs = runner.run(compile_run_specs(spec))
         return Result(spec=spec, provenance=provenance, runs=runs)
     if spec.kind == "neighborhood":
         from repro.neighborhood.federation import execute_fleet
         fleet = compile_fleet(spec)
         neighborhood = execute_fleet(
-            fleet, jobs=jobs, until=spec.until_s, mp_context=mp_context,
+            fleet, jobs=jobs, until=spec.until_s,
             coordination=spec.fleet.coordination, spec=spec,
             shard_size=shard_size, shard_executor=shard_executor,
             forecast=spec.forecast)
@@ -255,7 +254,7 @@ def _execute(spec: ExperimentSpec, provenance: Provenance, jobs: int,
         from repro.neighborhood.grid import execute_grid
         grid = compile_grid(spec)
         payload = execute_grid(
-            grid, jobs=jobs, until=spec.until_s, mp_context=mp_context,
+            grid, jobs=jobs, until=spec.until_s,
             coordination=spec.grid.coordination, spec=spec,
             shard_size=shard_size, shard_executor=shard_executor)
         return Result(spec=spec, provenance=provenance, grid=payload)

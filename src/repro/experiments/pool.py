@@ -5,15 +5,15 @@ forked a fresh ``multiprocessing.Pool`` for every batch, so a sweep, a
 registry regeneration and a neighborhood fleet each paid full process
 start-up (interpreter boot + imports under ``spawn``; page-table setup
 under ``fork``) per call.  :func:`shared_pool` instead hands out one
-long-lived :class:`WorkerPool` per ``(jobs, mp_context)`` signature:
+long-lived :class:`WorkerPool` per ``jobs`` count:
 
 * workers are spawned once and reused across every subsequent batch of
   the process (sweeps, ``repro regen``, neighborhood fleets);
 * each worker runs :func:`_warm_worker` once at birth, pre-importing the
   whole simulation substrate (kernel, radio, scheduler, scenario catalog)
-  so no batch pays import cost — under the default ``fork`` context the
-  catalog and topology tables are additionally shared copy-on-write with
-  the parent;
+  so no batch pays import cost — where the default start method is
+  ``fork``, the catalog and topology tables are additionally shared
+  copy-on-write with the parent;
 * dispatch is chunked (:func:`dispatch_chunksize`) instead of one task
   per IPC round-trip, bounding queue overhead for large fleets.
 
@@ -22,7 +22,7 @@ Determinism is untouched: work items are pure functions of their spec
 ``Pool.map`` preserves input order regardless of chunking, so results
 are bit-identical for any pool shape or reuse pattern.
 
-Pools live until :func:`shutdown_pools` (registered via ``atexit``) or
+Pools live until :func:`shutdown_all` (registered via ``atexit``) or
 until a batch raises, in which case the pool is discarded so the next
 batch starts from a clean slate.
 """
@@ -65,11 +65,10 @@ class WorkerPool:
     determinism locks compare the multi-worker results against.
     """
 
-    def __init__(self, jobs: int, mp_context: Optional[str] = None):
+    def __init__(self, jobs: int):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self.mp_context = mp_context
         self._pool: Optional[multiprocessing.pool.Pool] = None
         #: generation counter, bumped on every (re)spawn — lets tests
         #: assert that consecutive batches genuinely reused one pool
@@ -82,9 +81,8 @@ class WorkerPool:
 
     def _ensure(self) -> multiprocessing.pool.Pool:
         if self._pool is None:
-            context = multiprocessing.get_context(self.mp_context)
-            self._pool = context.Pool(processes=self.jobs,
-                                      initializer=_warm_worker)
+            self._pool = multiprocessing.Pool(processes=self.jobs,
+                                              initializer=_warm_worker)
             self.spawn_count += 1
         return self._pool
 
@@ -117,20 +115,20 @@ class WorkerPool:
             self._pool = None
 
 
-#: Live pools by (jobs, mp_context) signature, least-recently-used first
-#: — see :func:`shared_pool`.
-_POOLS: dict[tuple[int, Optional[str]], WorkerPool] = {}
+#: Live pools by ``jobs``, least-recently-used first — see
+#: :func:`shared_pool`.
+_POOLS: dict[int, WorkerPool] = {}
 
-#: Most pool *shapes* kept alive at once.  Every distinct
-#: ``(jobs, mp_context)`` used to accumulate workers for the life of the
-#: process; a long session cycling through shapes (sweeps at ``--jobs 4``,
-#: a fleet at ``--jobs 8``, a test suite doing both) now evicts — and
-#: terminates — the least recently drawn shape beyond this many.
+#: Most pool *shapes* kept alive at once.  Every distinct ``jobs`` count
+#: used to accumulate workers for the life of the process; a long
+#: session cycling through shapes (sweeps at ``--jobs 4``, a fleet at
+#: ``--jobs 8``, a test suite doing both) now evicts — and terminates —
+#: the least recently drawn shape beyond this many.
 MAX_POOL_SHAPES = 4
 
 
-def shared_pool(jobs: int, mp_context: Optional[str] = None) -> WorkerPool:
-    """The process-wide persistent pool for a ``(jobs, mp_context)`` shape.
+def shared_pool(jobs: int) -> WorkerPool:
+    """The process-wide persistent pool for ``jobs`` workers.
 
     Every ``repro.api.run`` call draws from here, so consecutive
     experiment batches reuse the same warm workers instead of forking
@@ -138,15 +136,14 @@ def shared_pool(jobs: int, mp_context: Optional[str] = None) -> WorkerPool:
     drawing a new shape beyond that closes the least recently used one
     first.
     """
-    key = (jobs, mp_context)
-    pool = _POOLS.pop(key, None)
+    pool = _POOLS.pop(jobs, None)
     if pool is None:
         while len(_POOLS) >= MAX_POOL_SHAPES:
             oldest = next(iter(_POOLS))
             _POOLS.pop(oldest).close()
-        pool = WorkerPool(jobs, mp_context=mp_context)
+        pool = WorkerPool(jobs)
     # (Re-)insert at the most-recent end: dict order is the LRU order.
-    _POOLS[key] = pool
+    _POOLS[jobs] = pool
     return pool
 
 
@@ -161,8 +158,5 @@ def shutdown_all() -> None:
         pool.close()
     _POOLS.clear()
 
-
-#: Backwards-compatible alias (pre-PR 5 name).
-shutdown_pools = shutdown_all
 
 atexit.register(shutdown_all)

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.analysis.loadstats import LoadStats, load_stats, mean_and_std
 from repro.core.system import HanConfig, RunResult, execute_config
-from repro.experiments.pool import WorkerPool, shared_pool
+from repro.experiments.pool import shared_pool
 
 
 class WorkerFailure(RuntimeError):
@@ -89,20 +89,18 @@ def _execute_registry_entry(item: tuple) -> tuple:
 
 
 def fan_out(worker: Callable[[object], tuple], items: Sequence[object],
-            jobs: int = 1, mp_context: Optional[str] = None,
-            pool: Optional[WorkerPool] = None) -> list[tuple]:
+            jobs: int = 1) -> list[tuple]:
     """Map a worker body over ``items``, results in input order.
 
     ``worker`` must be module-level picklable and return the
     ``("ok"|"err", name, payload)`` triples the built-in bodies use
     (failures as data — tracebacks always survive pickling).  ``jobs=1``
-    (or a single item) runs in-process; otherwise the items go to
-    ``pool``, or the persistent :func:`~repro.experiments.pool.shared_pool`
-    of that shape.  The triples come back **raw**: callers whose ok
-    payloads own external resources (the fleet shard executor's
-    shared-memory frames, :mod:`repro.neighborhood.shard`) must be able
-    to reclaim them before surfacing an error triple as
-    :class:`WorkerFailure`.
+    (or a single item) runs in-process; otherwise the items go to the
+    persistent :func:`~repro.experiments.pool.shared_pool` of ``jobs``
+    workers.  The triples come back **raw**: the fleet shard executor
+    (:mod:`repro.neighborhood.shard`) pairs each with its shard to
+    unpack frames and re-execute a lost one before surfacing an error
+    triple as :class:`WorkerFailure`.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -111,30 +109,24 @@ def fan_out(worker: Callable[[object], tuple], items: Sequence[object],
         return []
     if jobs == 1 or len(items) == 1:
         return [worker(item) for item in items]
-    if pool is None:
-        pool = shared_pool(jobs, mp_context)
-    return pool.map(worker, items)
+    return shared_pool(jobs).map(worker, items)
 
 
 class ParallelRunner:
     """Order-preserving fan-out of independent runs over worker processes.
 
     ``jobs > 1`` draws a persistent pool from
-    :func:`repro.experiments.pool.shared_pool` (or uses an explicitly
-    provided :class:`~repro.experiments.pool.WorkerPool`), so
-    consecutive batches reuse warm workers instead of forking per batch.
-    ``jobs=1`` executes in-process (no pickling round-trip), which the
-    determinism tests exploit: the same specs must produce bit-identical
-    results under 1 worker, N workers, and a reused pool.
+    :func:`repro.experiments.pool.shared_pool`, so consecutive batches
+    reuse warm workers instead of forking per batch.  ``jobs=1``
+    executes in-process (no pickling round-trip), which the determinism
+    tests exploit: the same specs must produce bit-identical results
+    under 1 worker, N workers, and a reused pool.
     """
 
-    def __init__(self, jobs: int = 1, mp_context: Optional[str] = None,
-                 pool: Optional[WorkerPool] = None):
+    def __init__(self, jobs: int = 1):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self._mp_context = mp_context
-        self._pool = pool
 
     def run(self, specs: Sequence[RunSpec]) -> list[RunResult]:
         """Execute every spec; results come back in input order."""
@@ -153,16 +145,14 @@ class ParallelRunner:
 
     def execute(self, worker: Callable[[object], tuple],
                 items: Sequence[object]) -> list[tuple]:
-        """:func:`fan_out` over this runner's jobs and pool: the triples
-        come back raw, unlike :meth:`run`."""
-        return fan_out(worker, items, self.jobs, self._mp_context,
-                       self._pool)
+        """:func:`fan_out` over this runner's jobs: the triples come
+        back raw, unlike :meth:`run`."""
+        return fan_out(worker, items, self.jobs)
 
     def _map(self, worker: Callable[[object], tuple],
              items: list) -> list:
         results = []
-        for status, name, payload in fan_out(worker, items, self.jobs,
-                                             self._mp_context, self._pool):
+        for status, name, payload in fan_out(worker, items, self.jobs):
             if status == "err":
                 raise WorkerFailure(name, payload)
             results.append(payload)

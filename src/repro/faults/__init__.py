@@ -10,8 +10,8 @@ The plane has two halves:
   :func:`~repro.faults.inject.fault_scope`.
 
 Injection sites live where the real failure would: worker crash /
-lease expiry in :mod:`repro.service.worker`, shared-memory frame loss
-in :mod:`repro.neighborhood.shard`, artifact corruption in
+lease expiry in :mod:`repro.service.worker`, shard frame loss in
+:mod:`repro.neighborhood.transport`, artifact corruption in
 :mod:`repro.api.cache`, and telemetry drop/delay/duplicate storms in
 :mod:`repro.neighborhood.online`.  See ``docs/faults.md`` for the
 seeding contract, the degradation ladder, and the invariant table.

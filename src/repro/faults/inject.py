@@ -19,8 +19,8 @@ No RNG state is carried between decisions, so the schedule is
   fault schedule, which is what lets the fault-matrix suite assert
   bit-identical schedules and final digests.
 
-Sites whose keys name *execution shape* (a shared-memory frame exists
-only when the fleet shards) are deterministic per shape rather than
+Sites whose keys name *execution shape* (a series frame exists only
+when the fleet shards across processes) are deterministic per shape rather than
 across shapes; ``docs/faults.md`` tabulates which is which.
 
 Activation

@@ -40,9 +40,9 @@ class FaultPlan:
     * ``lease_expiry`` — a worker finishes the work but dies before
       publishing, so its lease expires and another worker takes over
       (exercises exactly-once publication);
-    * ``frame_loss`` — a shared-memory series frame is gone by the time
-      the parent adopts it (exercises the ``FrameUnavailableError``
-      in-process re-execution fallback);
+    * ``frame_loss`` — a cross-process shard's series frame is lost
+      when the parent unpacks it (exercises the
+      ``FrameUnavailableError`` in-process re-execution fallback);
     * ``cache_corrupt`` — a stored artifact reads back corrupt
       (exercises the discard-and-recompute path);
     * ``telemetry_drop`` / ``telemetry_delay`` / ``telemetry_dup`` —

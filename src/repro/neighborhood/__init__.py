@@ -8,8 +8,8 @@ Eight modules, one pipeline (see ``docs/architecture.md``):
   packaging (:func:`execute_fleet`);
 * :mod:`~repro.neighborhood.shard` — the one fleet execution path:
   per-shard sub-specs, worker-local pre-reduction (:func:`plan_shards`);
-* :mod:`~repro.neighborhood.transport` — batched shared-memory series
-  frames between workers and the parent;
+* :mod:`~repro.neighborhood.transport` — one batched series frame per
+  shard between workers and the parent;
 * :mod:`~repro.neighborhood.coordination` — the coordination core every
   tier runs (:func:`coordinate_profiles`, :func:`coordinate_fleet`,
   ``docs/coordination.md``);

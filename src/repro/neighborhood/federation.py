@@ -198,7 +198,6 @@ class NeighborhoodResult:
 
 def execute_fleet(fleet: FleetSpec, jobs: int = 1,
                   until: Optional[float] = None,
-                  mp_context: Optional[str] = None,
                   coordination: str = "independent",
                   feeder: Optional[FeederConfig] = None,
                   spec: Optional[object] = None,
@@ -247,14 +246,13 @@ def execute_fleet(fleet: FleetSpec, jobs: int = 1,
             f"coordination must be one of: {known}; got {coordination!r}")
     result, _ = _run_feeder(
         fleet, until if until is not None else fleet.horizon, until, jobs,
-        mp_context, coordination, feeder, shard_size, shard_executor,
-        forecast=forecast)
+        coordination, feeder, shard_size, shard_executor, forecast=forecast)
     result.spec = spec
     return result
 
 
 def _run_feeder(fleet: FleetSpec, horizon: float, until: Optional[float],
-                jobs: int, mp_context: Optional[str], coordination: str,
+                jobs: int, coordination: str,
                 feeder: Optional[FeederConfig], shard_size: Optional[int],
                 shard_executor, forecast: Optional[object] = None,
                 first_shard: int = 0) -> tuple[NeighborhoodResult, list]:
@@ -279,7 +277,7 @@ def _run_feeder(fleet: FleetSpec, horizon: float, until: Optional[float],
                                        envelope_bin_s=envelope_bin,
                                        horizon=horizon)]
     results, partials, home_stats, envelopes = execute_shards(
-        shards, jobs=jobs, mp_context=mp_context, executor=shard_executor)
+        shards, jobs=jobs, executor=shard_executor)
     plan = None
     if coordination == "feeder":
         plan = coordinate_fleet(fleet, results, horizon, config=feeder,

@@ -299,7 +299,6 @@ class GridResult:
 
 def execute_grid(grid: GridSpec, jobs: int = 1,
                  until: Optional[float] = None,
-                 mp_context: Optional[str] = None,
                  coordination: str = "independent",
                  feeder: Optional[FeederConfig] = None,
                  spec: Optional[object] = None,
@@ -334,8 +333,8 @@ def execute_grid(grid: GridSpec, jobs: int = 1,
     all_partials: list[object] = []
     for fleet in grid.feeders:
         result, partials = _run_feeder(
-            fleet, horizon, until, jobs, mp_context, feeder_mode, config,
-            shard_size, shard_executor, first_shard=len(all_partials))
+            fleet, horizon, until, jobs, feeder_mode, config, shard_size,
+            shard_executor, first_shard=len(all_partials))
         feeder_results.append(result)
         all_partials.extend(partials)
 

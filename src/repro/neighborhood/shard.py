@@ -21,8 +21,8 @@ Every feeder — a ``neighborhood`` spec or one feeder of a ``grid`` —
 shards here, through :mod:`repro.neighborhood.federation`'s runner.
 Sharding is an execution strategy, never an experiment parameter:
 results are bit-identical for every ``(shard_size, jobs)`` combination
-and either wire format — the feeder profile is the correctly rounded
-per-event sum regardless of partitioning (see
+— the feeder profile is the correctly rounded per-event sum regardless
+of partitioning (see
 :func:`~repro.neighborhood.aggregate.combine_partials`), and home runs
 are independently seeded.  ``tests/test_fleet_sharding.py`` locks the
 invariance by digest.
@@ -51,9 +51,10 @@ DEFAULT_SHARD_SIZE = 64
 class ShardSpec:
     """One shard's complete, picklable work order: a sub-fleet to run.
 
-    ``transport`` selects the series wire format
-    (:data:`repro.neighborhood.transport.TRANSPORTS`); ``None`` keeps
-    results in-process (the ``jobs=1`` fast path — no frame, no pickle).
+    ``framed`` ships the series back as one
+    :class:`~repro.neighborhood.transport.SeriesFrame` (cross-process
+    shards); ``False`` keeps results in-process (the ``jobs=1`` fast
+    path — no frame, no pickle).
     """
 
     index: int
@@ -61,7 +62,7 @@ class ShardSpec:
     until: Optional[float]
     #: stats window end — per-home :class:`LoadStats` cover ``[0, horizon)``
     horizon: float
-    transport: Optional[str] = None
+    framed: bool = False
     #: when set, the worker also pre-reduces each home's
     #: :func:`~repro.neighborhood.coordination.phase_envelope` at this
     #: (already snapped — see ``snap_bin``) bin width, so the parent's
@@ -115,8 +116,7 @@ def plan_shards(fleet: FleetSpec, until: Optional[float] = None,
     fleet is one shard; across processes ``jobs``-aware so every worker
     sees several shards (load balancing, same policy as
     :func:`repro.experiments.pool.dispatch_chunksize`).  Any value
-    ``>= 1`` is used as given.  Cross-process shards use the wire format
-    :func:`~repro.neighborhood.transport.pick_transport` resolves.
+    ``>= 1`` is used as given.  Cross-process shards are ``framed``.
 
     ``envelope_bin_s`` (a bin width already snapped to the horizon —
     see :func:`repro.neighborhood.coordination.snap_bin`) asks the shard
@@ -141,13 +141,9 @@ def plan_shards(fleet: FleetSpec, until: Optional[float] = None,
     sub_fleets = shard_fleet(fleet, size)
     if horizon is None:
         horizon = until if until is not None else fleet.horizon
-    in_process = jobs == 1 or len(sub_fleets) == 1
-    wire = None
-    if not in_process:
-        from repro.neighborhood.transport import pick_transport
-        wire = pick_transport()
+    framed = jobs > 1 and len(sub_fleets) > 1
     return [ShardSpec(index=index, fleet=sub_fleet, until=until,
-                      horizon=horizon, transport=wire,
+                      horizon=horizon, framed=framed,
                       envelope_bin_s=envelope_bin_s)
             for index, sub_fleet in enumerate(sub_fleets)]
 
@@ -180,26 +176,19 @@ def _execute_shard(spec: ShardSpec) -> tuple:
             envelopes = [phase_envelope(one, spec.horizon,
                                         spec.envelope_bin_s)
                          for one in series]
-        if spec.transport is None:
-            outcome = ShardOutcome(index=spec.index, homes=results,
-                                   frame=None, partial=partial,
-                                   home_stats=stats,
-                                   envelopes=envelopes)
-        else:
-            frame = pack_series(series, spec.transport)
-            stripped = [replace(result, load_w=None)
-                        for result in results]
-            outcome = ShardOutcome(index=spec.index, homes=stripped,
-                                   frame=frame, partial=partial,
-                                   home_stats=stats,
-                                   envelopes=envelopes)
-        return ("ok", spec.fleet.name, outcome)
+        frame = None
+        if spec.framed:
+            frame = pack_series(series)
+            results = [replace(result, load_w=None) for result in results]
+        return ("ok", spec.fleet.name,
+                ShardOutcome(index=spec.index, homes=results, frame=frame,
+                             partial=partial, home_stats=stats,
+                             envelopes=envelopes))
     except Exception:
         return ("err", spec.fleet.name, traceback.format_exc())
 
 
 def execute_shards(shards: Sequence[ShardSpec], jobs: int = 1,
-                   mp_context: Optional[str] = None,
                    executor=None,
                    ) -> tuple[list[RunResult], list[SeriesPartial],
                               list[LoadStats],
@@ -224,49 +213,34 @@ def execute_shards(shards: Sequence[ShardSpec], jobs: int = 1,
     if not shards:
         return [], [], [], None
     triples = fan_out(executor if executor is not None else _execute_shard,
-                      shards, jobs=jobs, mp_context=mp_context)
+                      shards, jobs=jobs)
     homes: list[RunResult] = []
     partials: list[SeriesPartial] = []
     home_stats: list[LoadStats] = []
     envelopes: list[tuple[float, ...]] = []
-    failure: Optional[tuple[str, str]] = None
-    # Adopt every completed shard's frame *before* surfacing a failure:
-    # unpack_series unlinks the shared-memory segment, so a failing
-    # sibling shard can never strand the finished ones' blocks in
-    # /dev/shm for the life of the (persistent-pool) process.
     for shard, (status, name, payload) in zip(shards, triples):
-        if status == "err":
-            if failure is None:
-                failure = (name, payload)
-            continue
-        outcome: ShardOutcome = payload
-        if outcome.frame is not None:
+        if status == "ok" and payload.frame is not None:
             try:
-                series = unpack_series(outcome.frame)
+                series = unpack_series(payload.frame)
             except FrameUnavailableError:
-                # The shard's batched series are gone — the packing
-                # worker crashed and its segment was reaped (or a
-                # transport.frame fault was injected).  Home runs are
+                # The shard's batched series are lost (an injected
+                # transport.frame fault) or malformed.  Home runs are
                 # bit-deterministic, so re-executing the shard here,
                 # in-process and frameless, reproduces the lost data
                 # exactly; only the transport optimization is lost.
                 status, name, payload = _execute_shard(
-                    replace(shard, transport=None))
-                if status == "err":
-                    if failure is None:
-                        failure = (name, payload)
-                    continue
-                outcome = payload
+                    replace(shard, framed=False))
             else:
-                outcome.homes = [replace(result, load_w=one)
-                                 for result, one in zip(outcome.homes,
+                payload.homes = [replace(result, load_w=one)
+                                 for result, one in zip(payload.homes,
                                                         series)]
+        if status == "err":
+            raise WorkerFailure(name, payload)
+        outcome: ShardOutcome = payload
         homes.extend(outcome.homes)
         partials.append(outcome.partial)
         home_stats.extend(outcome.home_stats)
         if outcome.envelopes is not None:
             envelopes.extend(outcome.envelopes)
-    if failure is not None:
-        raise WorkerFailure(*failure)
     return homes, partials, home_stats, \
         envelopes if len(envelopes) == len(homes) and homes else None

@@ -7,119 +7,60 @@ becomes pure overhead on the hot fan-in path.  This module replaces N
 per-home series pickles with **one frame per shard**:
 
 * the worker concatenates every series' ``(times, values)`` arrays into
-  a single ``float64`` block — a :class:`SeriesFrame` records the
-  per-series lengths plus where the block lives;
-* with the ``"shm"`` transport the block is a
-  :mod:`multiprocessing.shared_memory` segment: the parent re-maps it
-  and hands out **zero-copy NumPy views** — every bulk consumer
-  (aggregation, coordination, statistics) reads the mapped arrays
-  directly; the O(events) plain-list twin each series also carries is
-  for the scalar paths and is negligible at fleet event densities — and
-  the segment is unlinked immediately after attach,
-  garbage-collecting with the last series viewing it;
-* the ``"pickle"`` fallback ships the same block as one ``bytes`` blob
-  through the ordinary result pipe — still one frame per shard, and the
-  parent's ``np.frombuffer`` views are zero-copy over the blob.
+  a single ``float64`` block and ships it as one ``bytes`` blob through
+  the ordinary result pipe — a :class:`SeriesFrame` records the
+  per-series names and lengths beside it;
+* the parent hands out ``np.frombuffer`` views over the blob —
+  **zero-copy**: every bulk consumer (aggregation, coordination,
+  statistics) reads them directly, and each view keeps the blob alive
+  through its ``.base``.  The O(events) plain-list twin each series also
+  carries is for the scalar paths and is negligible at fleet event
+  densities.
 
-Transport never touches values: both paths carry the exact recorded
-float64 bits, so results are bit-identical across transports — the
-shard-invariance tests run the same fleet through both and diff digests.
-
-Selection: :func:`pick_transport` prefers shared memory when the
-platform offers it and honours ``REPRO_FLEET_TRANSPORT``
-(``shm``/``pickle``) for explicit control.
+Transport never touches values: the frame carries the exact recorded
+float64 bits, so cross-process results are bit-identical to in-process
+ones — the shard-invariance tests diff digests across ``jobs`` and
+shard sizes.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.faults import get_injector
 from repro.sim.monitor import StepSeries
 
-#: Environment variable forcing a transport (one of :data:`TRANSPORTS`).
-TRANSPORT_ENV = "REPRO_FLEET_TRANSPORT"
-#: The wire formats a frame can travel over.
-TRANSPORTS = ("shm", "pickle")
-
 
 class FrameUnavailableError(RuntimeError):
-    """A frame's shared-memory segment no longer exists (or cannot map).
+    """A frame's data cannot be unpacked; the shard must be re-executed.
 
-    Raised by :func:`unpack_series` when attaching to ``shm_name`` fails —
-    typically because the worker that packed the frame crashed and the
-    segment was reaped (resource-tracker cleanup at interpreter shutdown,
-    or an operator clearing ``/dev/shm``), exactly the re-lease scenario
-    of the service plane (:mod:`repro.service`).  The frame's data is
-    gone; the shard must be re-executed.  Carries ``shm_name`` so callers
-    can name the lost segment in their own diagnostics.
+    Raised by :func:`unpack_series` when the frame is lost (an injected
+    ``transport.frame`` fault) or its blob does not match the layout
+    its names and lengths claim.  Home runs are bit-deterministic, so
+    the caller re-executes the shard in process
+    (:func:`repro.neighborhood.shard.execute_shards`).
     """
 
-    def __init__(self, shm_name: str, detail: str):
-        super().__init__(
-            f"series frame segment {shm_name!r} is unavailable: {detail} "
-            f"(the packing worker likely crashed and the segment was "
-            f"reaped; re-execute the shard)")
-        self.shm_name = shm_name
-
-
-def shared_memory_available() -> bool:
-    """Whether POSIX shared memory can actually be allocated here.
-
-    Importing :mod:`multiprocessing.shared_memory` can succeed on
-    platforms whose ``/dev/shm`` is absent or unwritable (minimal
-    containers), so probe by allocating one tiny segment.
-    """
-    try:
-        from multiprocessing import shared_memory
-        probe = shared_memory.SharedMemory(create=True, size=8)
-    except (ImportError, OSError):
-        return False
-    try:
-        probe.unlink()
-    except OSError:  # pragma: no cover - race with a cleaner
-        pass
-    probe.close()
-    return True
-
-
-def pick_transport(requested: Optional[str] = None) -> str:
-    """Resolve the transport to use: explicit arg > env > probe.
-
-    ``requested`` (or ``$REPRO_FLEET_TRANSPORT``) must be one of
-    :data:`TRANSPORTS`; ``None`` auto-selects ``"shm"`` when available,
-    ``"pickle"`` otherwise.
-    """
-    choice = requested if requested is not None \
-        else os.environ.get(TRANSPORT_ENV) or None
-    if choice is not None:
-        if choice not in TRANSPORTS:
-            known = ", ".join(TRANSPORTS)
-            raise ValueError(
-                f"transport must be one of: {known}; got {choice!r}")
-        return choice
-    return "shm" if shared_memory_available() else "pickle"
+    def __init__(self, detail: str):
+        super().__init__(f"series frame is unavailable: {detail} "
+                         f"(re-execute the shard)")
 
 
 @dataclass
 class SeriesFrame:
     """Many step series batched into one contiguous transport block.
 
-    Layout: a ``(2, total)`` float64 array — row 0 the concatenated
-    event times, row 1 the concatenated values — with ``lengths[i]``
-    spans in series order.  Exactly one of ``shm_name`` (shared-memory
-    transport) or ``blob`` (pickle transport) is set; the frame itself
-    pickles either way (a name string, or the raw block bytes).
+    Layout: ``blob`` holds a ``(2, max(total, 1))`` float64 array — row
+    0 the concatenated event times, row 1 the concatenated values — with
+    ``lengths[i]`` spans in series order.
     """
 
     names: tuple[str, ...]
     lengths: tuple[int, ...]
-    shm_name: Optional[str] = None
-    blob: Optional[bytes] = None
+    blob: bytes
 
     @property
     def total(self) -> int:
@@ -127,25 +68,15 @@ class SeriesFrame:
         return sum(self.lengths)
 
 
-def pack_series(series_list: Sequence[StepSeries],
-                transport: str) -> SeriesFrame:
-    """Batch ``series_list`` into one frame (worker side).
-
-    With ``transport="shm"`` the block is written into a fresh
-    shared-memory segment that stays registered with the resource
-    tracker until the parent adopts it (:func:`unpack_series`) — a
-    worker crashing between pack and unpack is cleaned up at interpreter
-    shutdown rather than leaking the segment.  Falls back to the
-    ``bytes`` blob if the segment cannot be allocated.
-    """
+def pack_series(series_list: Sequence[StepSeries]) -> SeriesFrame:
+    """Batch ``series_list`` into one frame (worker side)."""
     names = tuple(series.name for series in series_list)
     lengths = tuple(len(series) for series in series_list)
     total = sum(lengths)
     # np.zeros, not np.empty: the block keeps one padding slot when
-    # ``total == 0`` (zero-size shm segments cannot be allocated), and
-    # that slot is never written below — uninitialized padding made
-    # ``tobytes()`` blobs byte-nondeterministic, breaking digests/dedup
-    # over pickled frames.
+    # ``total == 0``, and that slot is never written below —
+    # uninitialized padding made ``tobytes()`` blobs
+    # byte-nondeterministic, breaking digests/dedup over pickled frames.
     block = np.zeros((2, max(total, 1)), dtype=np.float64)
     cursor = 0
     for series in series_list:
@@ -154,113 +85,41 @@ def pack_series(series_list: Sequence[StepSeries],
         block[0, cursor:cursor + span] = times
         block[1, cursor:cursor + span] = values
         cursor += span
-    if transport == "shm":
-        try:
-            from multiprocessing import shared_memory
-            segment = shared_memory.SharedMemory(create=True,
-                                                 size=block.nbytes)
-        except (ImportError, OSError):
-            segment = None
-        if segment is not None:
-            mapped = np.ndarray(block.shape, dtype=np.float64,
-                                buffer=segment.buf)
-            mapped[:] = block
-            name = segment.name
-            segment.close()
-            return SeriesFrame(names=names, lengths=lengths,
-                               shm_name=name)
-    elif transport != "pickle":
-        known = ", ".join(TRANSPORTS)
-        raise ValueError(
-            f"transport must be one of: {known}; got {transport!r}")
-    return SeriesFrame(names=names, lengths=lengths,
-                       blob=block.tobytes())
-
-
-def _discard_frame(frame: SeriesFrame) -> None:
-    """Release a frame's real backing before an injected loss.
-
-    An injected ``transport.frame`` fault must behave like the segment
-    never existed — so the *actual* shared-memory segment is unlinked
-    and closed first, or it would leak in ``/dev/shm`` for the life of
-    the pool process.  Pickle blobs need no cleanup.
-    """
-    if frame.shm_name is None:
-        return
-    from multiprocessing import shared_memory
-    try:
-        segment = shared_memory.SharedMemory(name=frame.shm_name)
-    except (FileNotFoundError, OSError):  # already gone
-        return
-    try:
-        segment.unlink()
-    except OSError:  # pragma: no cover - race with a cleaner
-        pass
-    segment.close()
+    return SeriesFrame(names=names, lengths=lengths, blob=block.tobytes())
 
 
 def unpack_series(frame: SeriesFrame) -> list[StepSeries]:
     """Rebuild the batched series from a frame (parent side), zero-copy.
 
-    Shared-memory frames are re-mapped, immediately unlinked (the name
-    disappears; the mapping lives on), and the segment object rides
-    along as each series' ``hold`` so the block is reclaimed exactly
-    when the last series viewing it is.  Pickle frames view the blob via
-    ``np.frombuffer`` — also copy-free.
+    The blob is viewed via ``np.frombuffer``, copy-free.  A frame whose
+    blob is not exactly ``16 * max(total, 1)`` bytes, or whose names and
+    lengths differ in count, raises :class:`FrameUnavailableError`
+    instead of unpacking to wrong series.
 
     Under an active fault plan, the ``transport.frame`` site (keyed on
     the frame's first series name — stable for a given shard layout) can
-    make the frame unavailable: the real segment is released and a
-    :class:`FrameUnavailableError` raised, exercising callers'
-    re-execution fallbacks exactly as a reaped segment would.
+    make the frame unavailable, exercising callers' re-execution
+    fallback.
     """
     injector = get_injector()
     if injector is not None and frame.names and injector.fire(
             "transport.frame", frame.names[0]):
-        _discard_frame(frame)
+        raise FrameUnavailableError("injected frame loss")
+    width = max(frame.total, 1)
+    if len(frame.names) != len(frame.lengths):
         raise FrameUnavailableError(
-            frame.shm_name if frame.shm_name is not None else "<blob>",
-            "injected frame loss")
-    total = frame.total
-    hold: Optional[object] = None
-    if frame.shm_name is not None:
-        from multiprocessing import shared_memory
-        try:
-            segment = shared_memory.SharedMemory(name=frame.shm_name)
-        except FileNotFoundError as gone:
-            # The segment was reaped before we attached — a worker
-            # crashing between pack and unpack (the service re-lease
-            # scenario).  Surface a typed, actionable error instead of a
-            # bare traceback.
-            raise FrameUnavailableError(
-                frame.shm_name, "segment no longer exists") from gone
-        try:
-            try:
-                segment.unlink()
-            except OSError:  # pragma: no cover - already cleaned elsewhere
-                pass
-            block = np.ndarray((2, max(total, 1)), dtype=np.float64,
-                               buffer=segment.buf)
-        except Exception as bad:
-            # Mapping failed after attach (e.g. a segment smaller than
-            # the frame's layout claims): close the mapping so the fd
-            # doesn't leak for the life of the process, then report.
-            segment.close()
-            raise FrameUnavailableError(
-                frame.shm_name,
-                f"cannot map {2 * max(total, 1)} float64 values "
-                f"({bad})") from bad
-        hold = segment
-    else:
-        block = np.frombuffer(frame.blob,
-                              dtype=np.float64).reshape(2, -1)
+            f"{len(frame.names)} names for {len(frame.lengths)} lengths")
+    if len(frame.blob) != 16 * width:
+        raise FrameUnavailableError(
+            f"blob holds {len(frame.blob)} bytes, layout needs "
+            f"{16 * width}")
+    block = np.frombuffer(frame.blob, dtype=np.float64).reshape(2, width)
     series_list: list[StepSeries] = []
     cursor = 0
     for name, span in zip(frame.names, frame.lengths):
         series_list.append(StepSeries.from_arrays(
             name,
             block[0, cursor:cursor + span],
-            block[1, cursor:cursor + span],
-            hold=hold))
+            block[1, cursor:cursor + span]))
         cursor += span
     return series_list

@@ -125,25 +125,25 @@ def _checkpointed_shard(spec, cache: ResultCache, parent: str) -> tuple:
     """Shard executor with artifact-store memoization (module-level so
     ``functools.partial`` of it pickles to pool workers).
 
-    The shard's transport is forced in-process (``None``) so the outcome
-    carries its series directly — a shared-memory frame names a segment
-    that dies with the packing process and can never live in a store.
-    Stored shards therefore skip the batched-frame transport; the
-    checkpoint read/write replaces what the frame was optimizing.
+    The shard is forced frameless (``framed=False``) so the stored
+    outcome carries its series directly and is the same object whatever
+    ``jobs`` planned the shard.  Stored shards therefore skip the
+    batched-frame transport; the checkpoint read/write replaces what
+    the frame was optimizing.
     """
     from repro.neighborhood.shard import _execute_shard
     key = shard_sub_hash(parent, spec)
     hit = cache.get_object(key)
     if isinstance(hit, tuple) and len(hit) == 3 and hit[0] == "ok":
         return hit
-    triple = _execute_shard(replace(spec, transport=None))
+    triple = _execute_shard(replace(spec, framed=False))
     if triple[0] == "ok":
         cache.put_object(key, triple, name=spec.fleet.name, kind="shard")
     return triple
 
 
 def execute_job(spec: ExperimentSpec, cache: Optional[ResultCache] = None,
-                jobs: int = 1, mp_context: Optional[str] = None,
+                jobs: int = 1,
                 shard_size: Optional[int] = None) -> Result:
     """Execute one leased spec exactly as ``run(spec)`` would.
 
@@ -164,14 +164,14 @@ def execute_job(spec: ExperimentSpec, cache: Optional[ResultCache] = None,
         executor = functools.partial(_checkpointed_shard, cache=cache,
                                      parent=provenance.spec_hash)
     with fault_scope(spec.faults):
-        return _execute(spec, provenance, jobs, mp_context, shard_size,
+        return _execute(spec, provenance, jobs, shard_size,
                         shard_executor=executor)
 
 
 class WorkerDaemon:
     """One worker process over a service store (see module docstring).
 
-    ``jobs``/``mp_context``/``shard_size`` are the usual execution
+    ``jobs``/``shard_size`` are the usual execution
     knobs, forwarded to the compiled run — a daemon with ``jobs=4``
     fans each leased job over four pool workers.  ``lease_ttl`` /
     ``max_attempts`` tune the queue's crash-recovery protocol (defaults
@@ -180,7 +180,6 @@ class WorkerDaemon:
 
     def __init__(self, store: Union[None, str, ServiceStore] = None,
                  worker_id: Optional[str] = None, jobs: int = 1,
-                 mp_context: Optional[str] = None,
                  shard_size: Optional[int] = None,
                  lease_ttl: Optional[float] = None,
                  max_attempts: Optional[int] = None):
@@ -191,7 +190,6 @@ class WorkerDaemon:
         self.worker_id = worker_id if worker_id is not None \
             else default_worker_id()
         self.jobs = jobs
-        self.mp_context = mp_context
         self.shard_size = shard_size
 
     def step(self) -> Optional[WorkerReport]:
@@ -232,7 +230,6 @@ class WorkerDaemon:
                     raise InjectedFault("worker.crash", attempt_key)
                 result = execute_job(
                     spec, cache=self.cache, jobs=self.jobs,
-                    mp_context=self.mp_context,
                     shard_size=self.shard_size)
                 abandon = injector is not None and injector.fire(
                     "worker.lease", attempt_key)

@@ -27,7 +27,7 @@ import numpy as np
 class StepSeries:
     """A right-open piecewise-constant time series."""
 
-    __slots__ = ("name", "_times", "_values", "_arrays", "_views", "_hold")
+    __slots__ = ("name", "_times", "_values", "_arrays", "_views")
 
     def __init__(self, name: str = ""):
         self.name = name
@@ -39,10 +39,6 @@ class StepSeries:
         #: :attr:`times` / :attr:`values` properties
         self._views: Optional[tuple[tuple[float, ...],
                                     tuple[float, ...]]] = None
-        #: opaque owner of externally backed arrays (e.g. the shared
-        #: memory block a transport frame unpacked this series from);
-        #: referenced only so the backing outlives every view of it
-        self._hold: Optional[object] = None
 
     # -- recording ----------------------------------------------------------
 
@@ -112,8 +108,7 @@ class StepSeries:
 
     @classmethod
     def from_arrays(cls, name: str, times: np.ndarray,
-                    values: np.ndarray,
-                    hold: Optional[object] = None) -> "StepSeries":
+                    values: np.ndarray) -> "StepSeries":
         """Build a series directly from already-recorded arrays.
 
         The bulk constructor for transport and aggregation: ``times`` must
@@ -126,10 +121,6 @@ class StepSeries:
         aggregation) read them zero-copy; the plain-list form is
         materialized once, keeping every scalar path (``record``, ``at``,
         pickling) identical to a recorded series.
-
-        ``hold`` is kept referenced for the series' lifetime — pass the
-        object owning externally backed arrays (a shared-memory block) so
-        the backing cannot be reclaimed while views of it live.
         """
         series = cls(name)
         times = np.asarray(times, dtype=float)
@@ -137,7 +128,6 @@ class StepSeries:
         series._times = times.tolist()
         series._values = values.tolist()
         series._arrays = (times, values)
-        series._hold = hold
         return series
 
     def __len__(self) -> int:
@@ -155,7 +145,6 @@ class StepSeries:
         self.name, self._times, self._values = state
         self._arrays = None
         self._views = None
-        self._hold = None
 
     @property
     def times(self) -> Sequence[float]:

@@ -26,11 +26,11 @@ def _hermetic_result_cache(tmp_path, monkeypatch):
 
 
 @pytest.fixture
-def shutdown_pools_after():
+def close_pools_after():
     """Explicit opt-in teardown for tests that spawn shared pools."""
     yield
-    from repro.experiments.pool import shutdown_pools
-    shutdown_pools()
+    from repro.experiments.pool import shutdown_all
+    shutdown_all()
 
 
 # -- serial references for the sharded execution path ----------------------

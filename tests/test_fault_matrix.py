@@ -18,7 +18,10 @@ The acceptance contract of the fault-injection plane, as tests:
   fallback, and corrupt-artifact recompute.
 """
 
+import gc
 import hashlib
+import multiprocessing
+import os
 import time
 from dataclasses import replace
 
@@ -365,3 +368,36 @@ def test_corruption_is_per_read_not_per_digest(tmp_path):
     # digest is never *permanently* poisoned (which would deadlock
     # artifact polling).
     assert any(outcomes) and not all(outcomes)
+
+
+# -- resource hygiene ---------------------------------------------------------
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _shm_listing():
+    try:
+        return set(os.listdir("/dev/shm"))
+    except OSError:
+        return set()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+def test_chaos_run_leaves_no_children_segments_or_fds(capsys):
+    """A cross-process ``repro chaos run`` cleans up after itself: no
+    live pool worker, no /dev/shm segment, no extra open descriptor."""
+    from repro.cli import main
+    argv = ["chaos", "run", "--homes", "6", "--jobs", "2",
+            "--horizon-min", "60", "--fault-seed", "11",
+            "--fault-rate", "0.3", "--fault-rate", "frame_loss=0.5"]
+    gc.collect()
+    shm_before, fds_before = _shm_listing(), _open_fds()
+    assert main(argv) == 0
+    assert "faults fired" in capsys.readouterr().out
+    gc.collect()
+    assert multiprocessing.active_children() == []
+    assert _shm_listing() == shm_before
+    assert _open_fds() <= fds_before

@@ -1,8 +1,8 @@
 """Fleet-scale execution: shard invariance, batched transport, partials.
 
-The load-bearing lock of PR 5: sharding, shared-memory transport and
+The load-bearing lock of PR 5: sharding, batched frame transport and
 pre-reduced aggregation are *execution strategies*, so every
-``(shard_size, jobs, transport, coordination)`` combination must produce
+``(shard_size, jobs, coordination)`` combination must produce
 **bit-identical** results — value digests, not approximations.  The
 exact-summation core (`aggregate._exact_row_sums`) is additionally
 checked against a brute-force ``math.fsum`` reference on randomized
@@ -28,12 +28,7 @@ from repro.neighborhood import (
 )
 from repro.neighborhood.aggregate import dedup_records
 from repro.neighborhood.shard import DEFAULT_SHARD_SIZE
-from repro.neighborhood.transport import (
-    pack_series,
-    pick_transport,
-    shared_memory_available,
-    unpack_series,
-)
+from repro.neighborhood.transport import pack_series, unpack_series
 from repro.experiments.runner import WorkerFailure
 from repro.sim.monitor import StepSeries
 from repro.sim.units import MINUTE
@@ -69,7 +64,7 @@ def result_digest(result) -> str:
 
 @pytest.mark.parametrize("coordination", ["independent", "feeder"])
 def test_results_bit_identical_across_shard_sizes_and_jobs(
-        fleet, coordination, serial_fleet, shutdown_pools_after):
+        fleet, coordination, serial_fleet, close_pools_after):
     """Digests equal for shard sizes {1, 8, N} x jobs {1, 4} and the
     serial per-home reference."""
     reference = result_digest(serial_fleet(fleet, coordination))
@@ -80,17 +75,6 @@ def test_results_bit_identical_across_shard_sizes_and_jobs(
                                 shard_size=shard_size)
             assert result_digest(run) == reference, \
                 (coordination, shard_size, jobs)
-
-
-def test_transports_bit_identical(fleet, monkeypatch,
-                                  shutdown_pools_after):
-    """The shm frame and the pickle-blob fallback carry the same bits."""
-    digests = set()
-    for transport in ("shm", "pickle"):
-        monkeypatch.setenv("REPRO_FLEET_TRANSPORT", transport)
-        run = execute_fleet(fleet, jobs=2, shard_size=4)
-        digests.add(result_digest(run))
-    assert len(digests) == 1
 
 
 # -- shard planning -----------------------------------------------------------
@@ -108,7 +92,7 @@ def test_small_fleet_plans_one_shard_in_process(fleet):
     assert fleet.n_homes < DEFAULT_SHARD_SIZE
     (only,) = plan_shards(fleet, jobs=1)
     assert only.fleet.homes == fleet.homes
-    assert only.transport is None
+    assert not only.framed
 
 
 def test_auto_sharding_kicks_in_at_fleet_scale(fleet):
@@ -119,12 +103,12 @@ def test_auto_sharding_kicks_in_at_fleet_scale(fleet):
     # jobs-aware sizing: several shards per worker for load balancing
     fanned = plan_shards(big, jobs=4)
     assert len(fanned) >= len(auto)
-    # explicit size wins; in-process shards carry no transport
+    # explicit size wins; in-process shards carry no frame
     forced = plan_shards(big, shard_size=16)
     assert [s.fleet.n_homes for s in forced] == [16] * 8 + [2]
-    assert all(s.transport is None for s in forced)
+    assert not any(s.framed for s in forced)
     crossed = plan_shards(big, shard_size=16, jobs=2)
-    assert all(s.transport in ("shm", "pickle") for s in crossed)
+    assert all(s.framed for s in crossed)
 
 
 def test_bad_shard_size_rejected(fleet):
@@ -162,27 +146,15 @@ def random_series(rng, name="s", max_events=60):
     return series
 
 
-@pytest.mark.parametrize("transport", ["shm", "pickle"])
-def test_frame_round_trip_is_lossless(transport):
-    if transport == "shm" and not shared_memory_available():
-        pytest.skip("no shared memory on this platform")
+def test_frame_round_trip_is_lossless():
     rng = np.random.default_rng(7)
     group = [random_series(rng, f"h{i}") for i in range(15)]
-    frame = pickle.loads(pickle.dumps(pack_series(group, transport)))
+    frame = pickle.loads(pickle.dumps(pack_series(group)))
     out = unpack_series(frame)
     for original, rebuilt in zip(group, out):
         assert rebuilt.name == original.name
         assert tuple(rebuilt.times) == tuple(original.times)
         assert tuple(rebuilt.values) == tuple(original.values)
-
-
-def test_pick_transport_env_and_validation(monkeypatch):
-    monkeypatch.setenv("REPRO_FLEET_TRANSPORT", "pickle")
-    assert pick_transport() == "pickle"
-    monkeypatch.delenv("REPRO_FLEET_TRANSPORT")
-    assert pick_transport() in ("shm", "pickle")
-    with pytest.raises(ValueError, match="transport"):
-        pick_transport("carrier-pigeon")
 
 
 # -- exact aggregation --------------------------------------------------------
@@ -280,14 +252,11 @@ def test_from_arrays_behaves_like_recorded_series():
     assert len(pickle.dumps(clone)) > 0
 
 
-def test_failing_shard_does_not_strand_sibling_frames(monkeypatch,
-                                                      shutdown_pools_after):
-    """A failing home must not leak completed shards' shm segments."""
+def test_failing_shard_does_not_strand_sibling_frames(close_pools_after):
+    """A failing home across processes names itself and leaves no
+    /dev/shm segment behind."""
     import glob
     from dataclasses import replace
-    if not shared_memory_available():
-        pytest.skip("no shared memory on this platform")
-    monkeypatch.setenv("REPRO_FLEET_TRANSPORT", "shm")
     fleet = build_fleet(6, mix="mixed", seed=13, cp_fidelity="ideal",
                         horizon=HORIZON)
     victim = fleet.homes[5]  # last shard fails; earlier ones complete
@@ -332,7 +301,7 @@ def grid_value_digest(result) -> str:
 
 
 def test_grid_bit_identical_across_jobs_and_shard_sizes(
-        serial_grid, shutdown_pools_after):
+        serial_grid, close_pools_after):
     """jobs {1, 4} x shard sizes {1, 2, auto}: the serial reference's
     digest."""
     from repro.api.spec import FeederPlan

@@ -107,7 +107,7 @@ def test_substation_aggregate_is_exact_fsum(topology_seed):
 
 @pytest.mark.parametrize("shard_size", [1, 2, 8, None])
 def test_substation_aggregate_invariant_across_shard_sizes(
-        shard_size, serial_grid, shutdown_pools_after):
+        shard_size, serial_grid, close_pools_after):
     grid = small_grid(seed=5)
     reference = serial_grid(grid, "independent")
     probe = execute_grid(grid, coordination="independent",
@@ -247,7 +247,7 @@ def test_substation_mode_with_one_feeder_equals_feeder_mode():
 
 @pytest.mark.parametrize("coordination", ["feeder", "substation"])
 def test_envelope_prereduction_never_changes_bits(
-        coordination, serial_grid, shutdown_pools_after):
+        coordination, serial_grid, close_pools_after):
     """Shard workers pre-reduce per-home envelopes; the serial reference
     computes them parent-side — both must negotiate identical offsets."""
     grid = small_grid(seed=17)
@@ -284,7 +284,7 @@ def test_feeders_with_shorter_horizons_use_the_grid_window(shard_size):
 
 
 def test_lost_frame_in_a_later_feeder_reexecutes_its_own_shard(
-        shutdown_pools_after):
+        close_pools_after):
     """Grid shard indices run across feeders, so the frame-loss
     fallback must re-run the shard the frame came from — not look it up
     by global index in the current feeder's shard list."""

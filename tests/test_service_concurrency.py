@@ -50,7 +50,7 @@ def repro_cli(args, store, **popen_kwargs):
         env=env, **popen_kwargs)
 
 
-@pytest.mark.usefixtures("shutdown_pools_after")
+@pytest.mark.usefixtures("close_pools_after")
 def test_two_workers_two_submits_one_execution(tmp_path):
     store = ServiceStore(tmp_path / "store")
     spec = smoke_spec()

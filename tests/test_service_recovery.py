@@ -41,7 +41,7 @@ WorkerDaemon(ServiceStore(sys.argv[1]), worker_id="victim",
 """
 
 
-@pytest.mark.usefixtures("shutdown_pools_after")
+@pytest.mark.usefixtures("close_pools_after")
 def test_kill9_mid_lease_recovers_bit_identical(tmp_path):
     store = ServiceStore(tmp_path / "store")
     spec = tiny_spec(name="survives-kill9")

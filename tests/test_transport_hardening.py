@@ -1,17 +1,16 @@
-"""PR 6 hardening of the batched series transport.
+"""Hardening of the batched series transport.
 
-Locks the two multi-process bug fixes in
-:mod:`repro.neighborhood.transport`:
+Locks the boundary checks of :mod:`repro.neighborhood.transport`:
 
 * ``pack_series`` zero-fills its padding slot — repeated packs of the
   same series (including the empty frame, whose block is *all*
   padding) are byte-identical, so digests/dedup over pickled frames
   are sound;
-* ``unpack_series`` surfaces a reaped shared-memory segment (worker
-  crashed between pack and unpack — the service re-lease scenario) as
-  a typed :class:`~repro.neighborhood.transport.FrameUnavailableError`,
-  and closes the segment when mapping fails after attach so the fd
-  doesn't leak.
+* ``unpack_series`` refuses a frame whose blob or lengths do not match
+  its layout with a typed
+  :class:`~repro.neighborhood.transport.FrameUnavailableError`, so the
+  shard executor re-executes the shard instead of handing out wrong or
+  truncated series.
 """
 
 import numpy as np
@@ -21,7 +20,6 @@ from repro.neighborhood.transport import (
     FrameUnavailableError,
     SeriesFrame,
     pack_series,
-    shared_memory_available,
     unpack_series,
 )
 from repro.sim.monitor import StepSeries
@@ -40,95 +38,55 @@ def sample_series():
             series("c", [(1.5, 2.5)])]
 
 
-needs_shm = pytest.mark.skipif(not shared_memory_available(),
-                               reason="no POSIX shared memory here")
-
-
 # -- padding determinism (the np.empty bug) -------------------------------
 
 def test_empty_frame_blob_is_deterministic():
     # All-padding block: before the fix this shipped one uninitialized
     # float, making consecutive packs byte-unequal.
-    blobs = {pack_series([], "pickle").blob for _ in range(20)}
+    blobs = {pack_series([]).blob for _ in range(20)}
     assert blobs == {np.zeros((2, 1)).tobytes()}
 
 
 def test_repeated_packs_are_byte_identical():
-    first = pack_series(sample_series(), "pickle")
+    first = pack_series(sample_series())
     for _ in range(10):
-        again = pack_series(sample_series(), "pickle")
+        again = pack_series(sample_series())
         assert again.blob == first.blob
         assert again.names == first.names
         assert again.lengths == first.lengths
 
 
 def test_empty_frame_roundtrips():
-    frame = pack_series([series("only", [])], "pickle")
+    frame = pack_series([series("only", [])])
     (rebuilt,) = unpack_series(frame)
     assert rebuilt.name == "only"
     assert len(rebuilt) == 0
+    assert unpack_series(pack_series([])) == []
 
 
-@needs_shm
-def test_shm_empty_frame_roundtrips():
-    frame = pack_series([], "shm")
-    assert frame.shm_name is not None
-    assert unpack_series(frame) == []
+# -- layout checks ---------------------------------------------------------
 
-
-# -- reaped-segment handling (the FileNotFoundError bug) ------------------
-
-@needs_shm
-def test_reaped_segment_raises_typed_error():
-    frame = pack_series(sample_series(), "shm")
-    from multiprocessing import shared_memory
-    victim = shared_memory.SharedMemory(name=frame.shm_name)
-    victim.unlink()  # simulate the crashed worker's segment being reaped
-    victim.close()
-    with pytest.raises(FrameUnavailableError) as caught:
-        unpack_series(frame)
-    assert caught.value.shm_name == frame.shm_name
-    assert "re-execute the shard" in str(caught.value)
-    assert isinstance(caught.value.__cause__, FileNotFoundError)
-
-
-def test_missing_segment_raises_typed_error_without_shm_probe():
-    # A frame naming a segment that never existed: same typed error,
-    # regardless of platform shm support (attach just fails).
-    frame = SeriesFrame(names=("x",), lengths=(1,),
-                        shm_name="repro-test-no-such-segment")
-    if not shared_memory_available():
-        pytest.skip("no POSIX shared memory here")
-    with pytest.raises(FrameUnavailableError):
+def test_blob_shorter_than_layout_is_refused():
+    # Two series of 3 events need 6 float64 per row; a 4-value blob
+    # used to unpack silently to series of 2 and 0 events.
+    frame = SeriesFrame(names=("a", "b"), lengths=(3, 3),
+                        blob=np.arange(4.0).tobytes())
+    with pytest.raises(FrameUnavailableError, match="layout needs 96"):
         unpack_series(frame)
 
 
-@needs_shm
-def test_map_failure_closes_segment(monkeypatch):
-    # A segment smaller than the frame's layout claims: the np.ndarray
-    # mapping raises, and unpack must close() the attached segment so
-    # the fd doesn't leak for the life of the process.
-    frame = pack_series(sample_series(), "shm")
-    lying = SeriesFrame(names=frame.names,
-                        lengths=tuple(length + 1000
-                                      for length in frame.lengths),
-                        shm_name=frame.shm_name)
-    from multiprocessing import shared_memory
-    closed = []
-    original_close = shared_memory.SharedMemory.close
-
-    def recording_close(self):
-        closed.append(self.name)
-        return original_close(self)
-
-    monkeypatch.setattr(shared_memory.SharedMemory, "close",
-                        recording_close)
-    with pytest.raises(FrameUnavailableError) as caught:
-        unpack_series(lying)
-    assert frame.shm_name in closed
-    assert "cannot map" in str(caught.value)
-    monkeypatch.undo()
-    # The failed unpack already unlinked the segment; attaching again
-    # now reports it gone (nothing left behind in /dev/shm).
-    with pytest.raises(FrameUnavailableError):
+def test_blob_of_odd_length_is_refused():
+    # A 3-value blob cannot hold two equal rows; it used to raise a bare
+    # ValueError from reshape, which the shard executor does not catch.
+    frame = SeriesFrame(names=("a",), lengths=(1,),
+                        blob=np.arange(3.0).tobytes())
+    with pytest.raises(FrameUnavailableError, match="re-execute"):
         unpack_series(frame)
+
+
+def test_names_and_lengths_must_pair_up():
+    frame = pack_series(sample_series())
+    short = SeriesFrame(names=frame.names[:2], lengths=frame.lengths,
+                        blob=frame.blob)
+    with pytest.raises(FrameUnavailableError, match="2 names for 3"):
+        unpack_series(short)

@@ -21,7 +21,7 @@ from repro.experiments.pool import (
     WorkerPool,
     dispatch_chunksize,
     shared_pool,
-    shutdown_pools,
+    shutdown_all,
 )
 from repro.experiments.runner import ParallelRunner, run_registry
 from repro.sim.units import MINUTE
@@ -77,15 +77,15 @@ def test_jobs_1_stays_in_process():
     assert pool.spawn_count == 0
 
 
-def test_shared_pool_is_persistent_and_keyed(shutdown_pools_after):
+def test_shared_pool_is_persistent_and_keyed(close_pools_after):
     assert shared_pool(2) is shared_pool(2)
     assert shared_pool(2) is not shared_pool(3)
-    shutdown_pools()
+    shutdown_all()
     fresh = shared_pool(2)
     assert not fresh.alive  # registry cleared; new pool not yet spawned
 
 
-def test_batches_reuse_one_spawn(shutdown_pools_after):
+def test_batches_reuse_one_spawn(close_pools_after):
     """Consecutive batches must reuse the warm workers, not refork."""
     runner = ParallelRunner(jobs=2)
     from repro.api.compile import compile_run_specs
@@ -99,7 +99,7 @@ def test_batches_reuse_one_spawn(shutdown_pools_after):
         assert_same_run(a, b)
 
 
-def test_pool_close_respawns_cleanly(shutdown_pools_after):
+def test_pool_close_respawns_cleanly(close_pools_after):
     pool = WorkerPool(2)
     assert pool.map(abs, [-1, -2]) == [1, 2]
     generation = pool.spawn_count
@@ -114,7 +114,7 @@ def test_pool_close_respawns_cleanly(shutdown_pools_after):
 # determinism locks: jobs=1 vs jobs=N vs reused pool
 # ---------------------------------------------------------------------------
 
-def test_sweep_pool_determinism(shutdown_pools_after):
+def test_sweep_pool_determinism(close_pools_after):
     spec = sweep_spec()
     serial = run(spec, jobs=1)
     pooled = run(spec, jobs=2)
@@ -125,7 +125,7 @@ def test_sweep_pool_determinism(shutdown_pools_after):
         assert_same_run(a, c)
 
 
-def test_neighborhood_pool_determinism(shutdown_pools_after):
+def test_neighborhood_pool_determinism(close_pools_after):
     spec = nbhd_spec()
     serial = run(spec, jobs=1)
     pooled = run(spec, jobs=2)
@@ -140,7 +140,7 @@ def test_neighborhood_pool_determinism(shutdown_pools_after):
         assert_same_run(a, c)
 
 
-def test_registry_pool_determinism(shutdown_pools_after):
+def test_registry_pool_determinism(close_pools_after):
     """Registry regeneration through a (reused) pool renders identically."""
     ids = ["FIG1", "FIG1"]  # two items so the batch actually fans out
     serial = ParallelRunner(jobs=1).regenerate(ids)
@@ -152,7 +152,7 @@ def test_registry_pool_determinism(shutdown_pools_after):
     assert len(texts) == 1  # every path rendered the same artefact
 
 
-def test_registry_helper_orders_and_validates(shutdown_pools_after):
+def test_registry_helper_orders_and_validates(close_pools_after):
     with pytest.raises(KeyError):
         run_registry(["NOPE"], jobs=2)
     [(exp_id, artefact)] = run_registry(["FIG1"], jobs=1)
@@ -163,27 +163,26 @@ def test_registry_helper_orders_and_validates(shutdown_pools_after):
 # -- lifecycle: LRU shape cap + explicit shutdown -----------------------------
 
 
-def test_pool_shapes_capped_lru(shutdown_pools_after):
+def test_pool_shapes_capped_lru(close_pools_after):
     """Drawing more shapes than MAX_POOL_SHAPES closes the oldest one."""
     from repro.experiments import pool as pool_module
 
     pool_module.shutdown_all()
-    shapes = [(jobs, None) for jobs in
-              range(2, 2 + pool_module.MAX_POOL_SHAPES + 1)]
-    first = shared_pool(*shapes[0])
+    shapes = list(range(2, 2 + pool_module.MAX_POOL_SHAPES + 1))
+    first = shared_pool(shapes[0])
     first.map(len, [(4, 2)])  # spin it up: eviction must really close it
     assert first.alive
-    for jobs, ctx in shapes[1:]:
-        shared_pool(jobs, ctx)
+    for jobs in shapes[1:]:
+        shared_pool(jobs)
     assert len(pool_module._POOLS) == pool_module.MAX_POOL_SHAPES
     # The least recently drawn shape was evicted and closed...
     assert shapes[0] not in pool_module._POOLS
     assert not first.alive
     # ...and re-drawing it hands out a *fresh* pool object.
-    assert shared_pool(*shapes[0]) is not first
+    assert shared_pool(shapes[0]) is not first
 
 
-def test_pool_lru_refreshes_on_redraw(shutdown_pools_after):
+def test_pool_lru_refreshes_on_redraw(close_pools_after):
     from repro.experiments import pool as pool_module
 
     pool_module.shutdown_all()
@@ -192,8 +191,8 @@ def test_pool_lru_refreshes_on_redraw(shutdown_pools_after):
         shared_pool(jobs)
     assert shared_pool(2) is first          # refreshed, most recent now
     shared_pool(2 + pool_module.MAX_POOL_SHAPES)  # evicts jobs=3, not 2
-    assert (2, None) in pool_module._POOLS
-    assert (3, None) not in pool_module._POOLS
+    assert 2 in pool_module._POOLS
+    assert 3 not in pool_module._POOLS
 
 
 def test_shutdown_all_closes_everything_and_respawns():
@@ -211,8 +210,3 @@ def test_shutdown_all_closes_everything_and_respawns():
     assert fresh.map(len, [(8, 2)]) == [2]
     pool_module.shutdown_all()
 
-
-def test_shutdown_pools_alias_preserved():
-    from repro.experiments import pool as pool_module
-
-    assert pool_module.shutdown_pools is pool_module.shutdown_all
