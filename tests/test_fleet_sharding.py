@@ -146,10 +146,15 @@ def random_series(rng, name="s", max_events=60):
     return series
 
 
-def test_frame_round_trip_is_lossless():
+@pytest.mark.parametrize("crossing", ["pickle", "direct"])
+def test_frame_round_trip_is_lossless(crossing):
+    # "pickle" carries the frame as a pool result does; "direct" unpacks
+    # the very frame pack_series built, views into its original blob.
     rng = np.random.default_rng(7)
     group = [random_series(rng, f"h{i}") for i in range(15)]
-    frame = pickle.loads(pickle.dumps(pack_series(group)))
+    frame = pack_series(group)
+    if crossing == "pickle":
+        frame = pickle.loads(pickle.dumps(frame))
     out = unpack_series(frame)
     for original, rebuilt in zip(group, out):
         assert rebuilt.name == original.name

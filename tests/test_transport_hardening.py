@@ -61,7 +61,12 @@ def test_empty_frame_roundtrips():
     (rebuilt,) = unpack_series(frame)
     assert rebuilt.name == "only"
     assert len(rebuilt) == 0
-    assert unpack_series(pack_series([])) == []
+
+
+def test_no_series_frame_roundtrips():
+    frame = pack_series([])
+    assert frame.names == () and frame.total == 0
+    assert unpack_series(frame) == []
 
 
 # -- layout checks ---------------------------------------------------------
