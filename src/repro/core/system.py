@@ -52,6 +52,7 @@ from repro.st.rounds import (
     IdealCP,
     SampledCP,
     SlotLevelCP,
+    cached_calibration,
 )
 from repro.workloads.arrivals import (
     BatchArrivals,
@@ -249,10 +250,12 @@ class HanSystem:
             self.cp = IdealCP(self.sim, self, self.device_ids,
                               period=self.config.cp_period)
         elif fidelity == "round":
-            self.cp_calibration = SampledCP.calibrate(
-                self.flood_medium, self.device_ids,
-                self._minicast_config(),
-                rounds=self.config.calibration_rounds)
+            self.cp_calibration = cached_calibration(
+                self._calibration_key(),
+                lambda: SampledCP.calibrate(
+                    self.flood_medium, self.device_ids,
+                    self._minicast_config(),
+                    rounds=self.config.calibration_rounds))
             self.cp = SampledCP(
                 self.sim, self, self.device_ids,
                 self.cp_calibration.delivery_prob,
@@ -269,6 +272,22 @@ class HanSystem:
                 minicast_config=self._minicast_config(),
                 energy=self.st_energy)
         self.cp.start()
+
+    def _calibration_key(self) -> tuple:
+        """Every input :meth:`SampledCP.calibrate` reads in a round-CP home.
+
+        The channel comes from the seed's ``channel`` stream, the
+        topology and the channel arguments; the flood draws from the
+        ``floods`` stream, which in round fidelity only calibration
+        uses (streams are named, so other consumers cannot shift it);
+        the MiniCast config from ``aggregation``.  Policy, CP period,
+        refresh interval, controller and workload are not read.
+        """
+        config = self.config
+        return (config.seed, config.topology_name, len(self.device_ids),
+                config.shadowing_sigma_db, config.path_loss_exponent,
+                config.ci_derating, config.aggregation,
+                config.calibration_rounds)
 
     def _build_centralized(self) -> None:
         if self.config.cp_fidelity == "ideal":

@@ -99,7 +99,8 @@ class Simulator:
         """Event firing once any event in ``events`` has fired."""
         return AnyOf(self, events)
 
-    def every(self, period: float, callback: Callable[[], None]) -> Event:
+    def every(self, period: float, callback: Callable[[], None],
+              idle: Optional[Callable[[int], int]] = None) -> Event:
         """Call ``callback`` now, then every ``period`` time units.
 
         The periodic counterpart of a process looping ``callback(); yield
@@ -110,16 +111,53 @@ class Simulator:
         process kick-off), each later one right after ``callback``
         returns — so events at the same instant run in the same order
         as under the process.  Returns the event (it never completes).
+
+        ``idle`` lets the caller skip ticks that would change nothing.
+        After each ``callback`` the kernel counts the upcoming ticks
+        that would run before every event already queued — each tick
+        keyed ``(t, PRIORITY_NORMAL, seq)`` with a fresh ``seq``, so it
+        sorts before the queue's first event when it is earlier, or at
+        the same instant with a larger priority number (the stop event
+        of :meth:`run`).  When there is at least one, it calls
+        ``idle(most)`` with that count.  The hook returns how many of
+        those ticks, ``k <= most``, are no-ops, having accounted for
+        them itself.  Nothing else can run in between, so the kernel
+        steps past them: it advances the tick time by ``period`` k
+        times (the additions the k ticks would have made), takes k
+        sequence numbers, and queues the next tick under the exact key
+        the tick-by-tick loop would have given it.  Nothing is skipped
+        while the queue is empty.
         """
         if period <= 0:
             raise ValueError(f"period must be positive, got {period}")
         tick = Event(self)
         tick._value = None
+        queue = self._queue
 
         def fire(event: Event) -> None:
             callback()
             event.callbacks = rearm
-            self._schedule(event, delay=period)
+            when = self._now + period
+            skipped = 0
+            if idle is not None and queue:
+                top_when, top_priority = queue[0][0], queue[0][1]
+                inclusive = top_priority > PRIORITY_NORMAL
+                most, due = 0, when
+                while due < top_when or (inclusive and due == top_when):
+                    most += 1
+                    due += period
+                if most:
+                    skipped = idle(most)
+                    if skipped == most:
+                        when = due
+                    else:
+                        for _ in range(skipped):
+                            when += period
+            seq = next(self._seq)
+            if skipped:
+                seq += skipped
+                self._seq = count(seq + 1)
+            heapq.heappush(queue, (when, PRIORITY_NORMAL, seq, event))
 
         rearm = [fire]
         tick.callbacks = rearm

@@ -18,8 +18,16 @@ state* (idempotent), so a missed delivery is healed by any later round.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Protocol, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Hashable,
+    Optional,
+    Protocol,
+    Sequence,
+)
 
 import numpy as np
 
@@ -64,6 +72,11 @@ class CpStats:
 class _CpBase:
     """Shared alive-set and periodic-tick bookkeeping."""
 
+    #: A round with nothing to share only counts itself, so the kernel
+    #: may step past it (see :meth:`_idle`); False where the radio runs
+    #: every round regardless.
+    quiet_rounds_are_noops = True
+
     def __init__(self, sim: "Simulator", app: CpApplication,
                  nodes: Sequence[int], period: float = 2.0):
         self.sim = sim
@@ -80,7 +93,9 @@ class _CpBase:
         """Begin periodic rounds (first round runs immediately)."""
         if self._ticker is not None:
             raise RuntimeError("CP already started")
-        self._ticker = self.sim.every(self.period, self._tick)
+        idle = (self._idle if self.quiet_rounds_are_noops
+                and self._pending_nodes is not None else None)
+        self._ticker = self.sim.every(self.period, self._tick, idle=idle)
 
     def fail_node(self, node: int) -> None:
         """Crash ``node``: it stops initiating, relaying and receiving."""
@@ -94,6 +109,26 @@ class _CpBase:
     def _tick(self) -> None:
         self._round()
         self.round_index += 1
+
+    def _idle(self, most: int) -> int:
+        """Count up to ``most`` upcoming no-op rounds as run; return how many.
+
+        The kernel's idle hook (:meth:`repro.sim.kernel.Simulator.every`):
+        the next ``most`` rounds would run before any other event, and
+        ``cp_pending_nodes`` only changes inside events, so if it is
+        empty now it stays empty through them.  Each such round only
+        adds one to ``round_index`` and ``stats.rounds_total``.
+        """
+        if self._pending_nodes():
+            return 0
+        quiet = self._quiet_rounds(most)
+        self.round_index += quiet
+        self.stats.rounds_total += quiet
+        return quiet
+
+    def _quiet_rounds(self, most: int) -> int:
+        """How many of the next ``most`` rounds are no-ops with no payload."""
+        return most
 
     # -- interface for subclasses ------------------------------------------------
 
@@ -155,6 +190,8 @@ class IdealCP(_CpBase):
 
 class SlotLevelCP(_CpBase):
     """Full-fidelity CP: sync flood + MiniCast round, slot by slot."""
+
+    quiet_rounds_are_noops = False
 
     def __init__(self, sim: "Simulator", app: CpApplication,
                  nodes: Sequence[int], medium: FloodMedium,
@@ -273,6 +310,12 @@ class SampledCP(_CpBase):
             if packets:
                 self.app.cp_deliver(node, packets, self.round_index)
 
+    def _quiet_rounds(self, most: int) -> int:
+        if not self._had_miss:
+            return most
+        # Stop before the next refresh-due round: it heals the miss.
+        return min(most, -self.round_index % self.refresh_every)
+
     # -- calibration ------------------------------------------------------------
 
     @staticmethod
@@ -303,7 +346,7 @@ class SampledCP(_CpBase):
                              round_energy_j=mean_energy)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CpCalibration:
     """Output of :meth:`SampledCP.calibrate`."""
 
@@ -318,3 +361,33 @@ class CpCalibration:
             return 1.0
         off_diag = self.delivery_prob.sum() - n
         return float(off_diag / (n * (n - 1)))
+
+
+#: Calibrations :func:`cached_calibration` keeps (least recently used
+#: out first): a 26-device matrix is 5.4 kB.
+CALIBRATION_MEMO_SIZE = 32
+_CALIBRATIONS: "OrderedDict[Hashable, CpCalibration]" = OrderedDict()
+
+
+def cached_calibration(key: Hashable,
+                       calibrate: Callable[[], CpCalibration]
+                       ) -> CpCalibration:
+    """The calibration stored under ``key``, calling ``calibrate`` on a miss.
+
+    ``key`` must name every input ``calibrate`` reads, so that a hit
+    equals what the call would return.  A stored calibration is shared
+    by every run that hits it, so its ``delivery_prob`` is made
+    read-only (and :class:`CpCalibration` is frozen): no run can change
+    another run's matrix.  The memo lives in this process and holds at
+    most :data:`CALIBRATION_MEMO_SIZE` entries.
+    """
+    calibration = _CALIBRATIONS.get(key)
+    if calibration is not None:
+        _CALIBRATIONS.move_to_end(key)
+        return calibration
+    calibration = calibrate()
+    calibration.delivery_prob.setflags(write=False)
+    _CALIBRATIONS[key] = calibration
+    if len(_CALIBRATIONS) > CALIBRATION_MEMO_SIZE:
+        _CALIBRATIONS.popitem(last=False)
+    return calibration

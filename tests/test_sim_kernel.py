@@ -438,3 +438,68 @@ def test_every_rejects_non_positive_period():
     for period in (0.0, -1.0):
         with pytest.raises(ValueError):
             sim.every(period, lambda: None)
+
+
+def _idle_probe(top_at, top_priority, skip):
+    """Tick every 1.0 beside one event at ``top_at``; log the idle calls."""
+    from repro.sim.kernel import PRIORITY_NORMAL
+
+    sim = Simulator()
+    calls, ticks = [], []
+    top = sim.event()
+    top._value = None
+    top.callbacks.append(lambda _event: ticks.append(("top", sim.now)))
+
+    def idle(most):
+        calls.append((sim.now, most))
+        return skip(most)
+
+    sim.every(1.0, lambda: ticks.append(("tick", sim.now)),
+              idle=None if skip is None else idle)
+    sim._schedule(top, delay=top_at, priority=top_priority)
+    if top_priority == PRIORITY_NORMAL + 1:  # the stop event's priority
+        sim.run(until=top_at)
+    else:
+        sim.run(until=top_at + 0.5)
+    return calls, ticks, sorted(key[:3] for key in sim._queue)
+
+
+def test_every_idle_hook_counts_ticks_before_the_queue_top():
+    from repro.sim.kernel import PRIORITY_NORMAL, PRIORITY_URGENT
+
+    # Ticks at 1..5 sort before an event at 5.5.
+    calls, ticks, _ = _idle_probe(5.5, PRIORITY_NORMAL, lambda most: 0)
+    assert calls[0] == (0.0, 5)
+    # A tick at the top's instant runs after an earlier-keyed event of
+    # the same or a smaller priority number, before a larger one.
+    for priority, most in ((PRIORITY_URGENT, 4), (PRIORITY_NORMAL, 4),
+                           (PRIORITY_NORMAL + 1, 5)):
+        calls, _, _ = _idle_probe(5.0, priority, lambda most: 0)
+        assert calls[0] == (0.0, most)
+
+
+def test_every_idle_hook_skips_to_the_key_of_the_tick_by_tick_loop():
+    from repro.sim.kernel import PRIORITY_NORMAL
+
+    for top_at, priority in ((5.5, PRIORITY_NORMAL), (5.0, PRIORITY_NORMAL),
+                             (5.0, PRIORITY_NORMAL + 1)):
+        _, plain, plain_queue = _idle_probe(top_at, priority, None)
+        calls, fast, fast_queue = _idle_probe(top_at, priority,
+                                              lambda most: most)
+        # Skipped ticks never call back; everything else is unchanged.
+        assert len(calls) == 1
+        skipped = {("tick", float(index))
+                   for index in range(1, calls[0][1] + 1)}
+        assert [entry for entry in plain if entry not in skipped] == fast
+        assert fast_queue == plain_queue
+        # Taking fewer than offered resumes at the next one.
+        _, part, part_queue = _idle_probe(top_at, priority,
+                                          lambda most: min(most, 2))
+        assert ("tick", 3.0) in part and ("tick", 1.0) not in part
+        assert part_queue == plain_queue
+    # No event queued: nothing to step past, so the hook is not called.
+    sim = Simulator()
+    calls = []
+    sim.every(1.0, lambda: None, idle=lambda most: calls.append(most) or 0)
+    sim.step()
+    assert calls == []
