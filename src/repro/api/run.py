@@ -124,8 +124,7 @@ class Result:
                   f"v{self.provenance.schema_version} · repro "
                   f"{self.provenance.code_version}")
         if self.artefact is not None:
-            text = getattr(self.artefact, "text", None)
-            body = text if text is not None else repr(self.artefact)
+            body = self.artefact.text
         elif self.neighborhood is not None:
             body = self.neighborhood.render()
         elif self.grid is not None:

@@ -42,6 +42,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -49,6 +50,7 @@ from typing import Optional, Sequence
 
 from repro.analysis.report import format_table
 from repro.api import run as run_spec
+from repro.api.compile import ARTEFACTS, resolve_artefact
 from repro.api.spec import (
     ArtefactSpec,
     ControlSpec,
@@ -121,33 +123,21 @@ def _horizon(args: argparse.Namespace) -> Optional[float]:
     return args.horizon_min * MINUTE if args.horizon_min else None
 
 
-#: Artefact kind → the generator params its command takes from the
-#: flags (``ablation <which>`` runs kind ``abl-<which>``).
-_ARTEFACT_PARAMS = {
-    "fig2a": ("seed", "cp_fidelity", "horizon"),
-    "fig2b": ("seeds", "cp_fidelity", "horizon"),
-    "fig2c": ("seeds", "cp_fidelity", "horizon"),
-    "headline": ("seeds", "cp_fidelity"),
-    "cp-trace": ("rounds", "seed"),
-    "abl-cp-period": ("seeds", "horizon"),
-    "abl-loss": ("seeds", "horizon"),
-    "abl-scale": ("seeds", "horizon"),
-    "abl-slots": ("seeds", "horizon"),
-    "abl-variants": ("seeds", "horizon"),
-    "abl-st-vs-at": ("seed",),
-    "abl-spof": ("seed", "horizon"),
-}
-
-
 def _artefact_spec(args: argparse.Namespace,
                    horizon: Optional[float]) -> ExperimentSpec:
-    """The ``kind: artefact`` spec of a figure/trace/ablation command."""
+    """The ``kind: artefact`` spec of a figure/trace/ablation command.
+
+    ``ablation <which>`` runs kind ``abl-<which>``; the params are the
+    flags the kind's generator takes.
+    """
     kind = f"abl-{args.which}" if args.command == "ablation" \
         else args.command
     flags = {"seed": args.seed, "seeds": getattr(args, "seeds", None),
              "cp_fidelity": getattr(args, "fidelity", None),
              "rounds": getattr(args, "rounds", None), "horizon": horizon}
-    params = {name: flags[name] for name in _ARTEFACT_PARAMS[kind]}
+    parameters = inspect.signature(resolve_artefact(kind)).parameters
+    params = {name: value for name, value in flags.items()
+              if name in parameters}
     return ExperimentSpec(name=f"cli-{kind}", kind="artefact",
                           artefact=ArtefactSpec(kind=kind, params=params))
 
@@ -387,12 +377,9 @@ def _load_spec(path: str) -> ExperimentSpec:
 
 
 def _registry_spec(exp_id: str) -> ExperimentSpec:
-    """The declarative spec of a registry experiment (exit 2 if none)."""
+    """The declarative spec of a registry experiment (exit 2 if unknown)."""
     from repro.experiments.registry import get
-    experiment = _checked(get, exp_id)
-    if experiment.spec is None:
-        raise _BadInput(f"experiment {exp_id!r} has no spec")
-    return experiment.spec
+    return _checked(get, exp_id).spec
 
 
 def _export_run_results(spec: ExperimentSpec, results, base: str) -> None:
@@ -532,7 +519,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     horizon = _horizon(args) if hasattr(args, "horizon_min") else None
 
-    if args.command in _ARTEFACT_PARAMS or args.command == "ablation":
+    if args.command in ARTEFACTS or args.command == "ablation":
         print(run_spec(_artefact_spec(args, horizon)).artefact.text)
     elif args.command == "run":
         if args.spec:
@@ -610,9 +597,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         cache = None if args.no_cache else ResultCache()
         for exp_id, artefact in _checked(run_registry, args.ids or None,
                                          jobs=args.jobs, cache=cache):
-            text = getattr(artefact, "text", None)
             print(f"== {exp_id} ==")
-            print(text if text is not None else repr(artefact))
+            print(artefact.text)
     elif args.command == "cache":
         return _dispatch_cache(args)
     elif args.command == "worker":

@@ -15,25 +15,41 @@ import numpy as np
 
 from repro.analysis.loadstats import percent_reduction
 from repro.analysis.report import format_table
-from repro.core.scheduler import SchedulerConfig
-from repro.core.system import HanConfig, HanSystem, execute_config
+from repro.api import run as run_spec
+from repro.api.spec import (
+    ControlSpec,
+    ExperimentSpec,
+    FeederPlan,
+    FleetPlan,
+    GridPlan,
+    ScenarioSpec,
+)
+from repro.core.system import HanConfig, HanSystem
 from repro.experiments.cp_trace import trace_cp
-from repro.experiments.figures import FigureData
-from repro.han.dutycycle import DutyCycleSpec
+from repro.experiments.figures import FigureData, _paper_sweep
 from repro.mac.collection import CollectionNetwork
-from repro.radio.medium import CsmaMedium, FloodMedium
+from repro.radio.medium import CsmaMedium
 from repro.radio.topology import flocklab26
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.units import HOUR, MINUTE
-from repro.workloads.scenarios import Scenario, paper_scenario
+from repro.workloads.scenarios import paper_scenario
 
 
-def _mean_wait_minutes(results) -> float:
-    waits = []
-    for result in results:
-        waits.extend(result.waiting_times())
-    return float(np.mean(waits)) / MINUTE if waits else 0.0
+def _load_summary(results, horizon: Optional[float]) -> dict:
+    """Seed-mean peak and deviation of the load, and the mean wait."""
+    stats = [r.stats(end=horizon) for r in results]
+    waits = [wait for r in results for wait in r.waiting_times()]
+    return {"peak_kw": float(np.mean([s.peak_kw for s in stats])),
+            "std_kw": float(np.mean([s.std_kw for s in stats])),
+            "wait_min": float(np.mean(waits)) / MINUTE if waits else 0.0}
+
+
+def _policy_runs(name: str, policy: str, seeds: Sequence[int],
+                 horizon: Optional[float], **control) -> list:
+    """One policy's paper-high runs under one control setting, per seed."""
+    return _paper_sweep(name, seeds, policies=(policy,), horizon=horizon,
+                        **control)[policy].results
 
 
 def cp_period_sweep(periods: Sequence[float] = (0.5, 2.0, 10.0, 60.0),
@@ -45,15 +61,11 @@ def cp_period_sweep(periods: Sequence[float] = (0.5, 2.0, 10.0, 60.0),
     at 15-minute slots even a 60 s period barely moves the load shape —
     evidence the paper's 2 s choice is comfortably conservative.
     """
-    scenario = paper_scenario("high")
     rows = []
     data = {}
     for period in periods:
-        results = [execute_config(
-            HanConfig(scenario=scenario, policy="coordinated",
-                      cp_fidelity="round", cp_period=period, seed=seed),
-            until=horizon) for seed in seeds]
-        stats = [r.stats(end=horizon) for r in results]
+        results = _policy_runs(f"abl-cp-period-{period:g}", "coordinated",
+                               seeds, horizon, cp_period=period)
         admission_lat = []
         for result in results:
             admission_lat.extend(
@@ -63,9 +75,7 @@ def cp_period_sweep(periods: Sequence[float] = (0.5, 2.0, 10.0, 60.0),
             "period_s": period,
             "admission_latency_s": float(np.mean(admission_lat))
             if admission_lat else 0.0,
-            "peak_kw": float(np.mean([s.peak_kw for s in stats])),
-            "std_kw": float(np.mean([s.std_kw for s in stats])),
-            "wait_min": _mean_wait_minutes(results),
+            **_load_summary(results, horizon),
         }
         data[period] = row
         rows.append([f"{period:g}", row["admission_latency_s"],
@@ -90,15 +100,11 @@ def loss_sweep(exponents: Sequence[float] = (3.5, 4.3, 4.4, 4.45),
     stalls; what degrades gracefully is coordination quality (peaks and
     variance creep toward the uncoordinated baseline as views go stale).
     """
-    scenario = paper_scenario("high")
     rows = []
     data = {}
     for exponent in exponents:
-        results = [execute_config(
-            HanConfig(scenario=scenario, policy="coordinated",
-                      cp_fidelity="round", path_loss_exponent=exponent,
-                      seed=seed), until=horizon) for seed in seeds]
-        stats = [r.stats(end=horizon) for r in results]
+        results = _policy_runs(f"abl-loss-{exponent:g}", "coordinated",
+                               seeds, horizon, path_loss_exponent=exponent)
         delivery = float(np.mean(
             [r.cp_calibration.mean_delivery for r in results]))
         cp_ratio = float(np.mean(
@@ -111,9 +117,7 @@ def loss_sweep(exponents: Sequence[float] = (3.5, 4.3, 4.4, 4.45),
             "flood_delivery": delivery,
             "cp_delivery": cp_ratio,
             "admitted_fraction": admitted,
-            "peak_kw": float(np.mean([s.peak_kw for s in stats])),
-            "std_kw": float(np.mean([s.std_kw for s in stats])),
-            "wait_min": _mean_wait_minutes(results),
+            **_load_summary(results, horizon),
         }
         data[exponent] = row
         rows.append([f"{exponent:g}", delivery, cp_ratio, admitted,
@@ -125,6 +129,25 @@ def loss_sweep(exponents: Sequence[float] = (3.5, 4.3, 4.4, 4.45),
     return FigureData(figure_id="abl-loss", text=text, data=data)
 
 
+def _coordination_gap(scenario: ScenarioSpec, seeds: Sequence[int],
+                      horizon: Optional[float]) -> dict:
+    """Seed-mean peaks with vs without coordination on one scenario."""
+    outcomes = _paper_sweep(scenario.name, seeds, scenario=scenario,
+                            horizon=horizon)
+    wo, with_ = (_load_summary(outcomes[policy].results, horizon)
+                 for policy in ("uncoordinated", "coordinated"))
+    return {"peak_wo": wo["peak_kw"], "peak_with": with_["peak_kw"],
+            "peak_reduction_pct": percent_reduction(wo["peak_kw"],
+                                                    with_["peak_kw"]),
+            "std_reduction_pct": percent_reduction(wo["std_kw"],
+                                                   with_["std_kw"])}
+
+
+def _gap_row(label, gap: dict) -> list:
+    return [label, gap["peak_wo"], gap["peak_with"],
+            gap["peak_reduction_pct"], gap["std_reduction_pct"]]
+
+
 def scale_sweep(device_counts: Sequence[int] = (10, 26, 40, 60),
                 seeds: Sequence[int] = (1, 2),
                 horizon: Optional[float] = None) -> FigureData:
@@ -134,34 +157,11 @@ def scale_sweep(device_counts: Sequence[int] = (10, 26, 40, 60),
     rows = []
     data = {}
     for n in device_counts:
-        scenario = replace(base, n_devices=n,
-                           arrival_rate_per_hour=per_device_rate * n,
-                           name=f"scale-{n}")
-        peaks = {"coordinated": [], "uncoordinated": []}
-        stds = {"coordinated": [], "uncoordinated": []}
-        for policy in peaks:
-            for seed in seeds:
-                result = execute_config(
-                    HanConfig(scenario=scenario, policy=policy,
-                              cp_fidelity="round", seed=seed),
-                    until=horizon)
-                stats = result.stats(end=horizon)
-                peaks[policy].append(stats.peak_kw)
-                stds[policy].append(stats.std_kw)
-        peak_red = percent_reduction(
-            float(np.mean(peaks["uncoordinated"])),
-            float(np.mean(peaks["coordinated"])))
-        std_red = percent_reduction(
-            float(np.mean(stds["uncoordinated"])),
-            float(np.mean(stds["coordinated"])))
-        row = {"n": n,
-               "peak_wo": float(np.mean(peaks["uncoordinated"])),
-               "peak_with": float(np.mean(peaks["coordinated"])),
-               "peak_reduction_pct": peak_red,
-               "std_reduction_pct": std_red}
-        data[n] = row
-        rows.append([n, row["peak_wo"], row["peak_with"], peak_red,
-                     std_red])
+        data[n] = {"n": n, **_coordination_gap(
+            ScenarioSpec(name=f"scale-{n}", n_devices=n,
+                         rate_per_hour=per_device_rate * n),
+            seeds, horizon)}
+        rows.append(_gap_row(n, data[n]))
     text = format_table(
         ["devices", "w/o peak kW", "with peak kW", "peak red %",
          "std red %"],
@@ -174,37 +174,18 @@ def slots_sweep(specs: Sequence[tuple[float, float]] = ((15, 30), (10, 30),
                 seeds: Sequence[int] = (1, 2),
                 horizon: Optional[float] = None) -> FigureData:
     """ABL-SLOTS: sensitivity to the minDCD/maxDCP working point."""
-    base = paper_scenario("high")
     rows = []
     data = {}
     for min_dcd_min, max_dcp_min in specs:
-        scenario = replace(base, min_dcd=min_dcd_min * MINUTE,
-                           max_dcp=max_dcp_min * MINUTE,
-                           name=f"spec-{min_dcd_min:g}-{max_dcp_min:g}")
-        peaks = {"coordinated": [], "uncoordinated": []}
-        stds = {"coordinated": [], "uncoordinated": []}
-        for policy in peaks:
-            for seed in seeds:
-                result = execute_config(
-                    HanConfig(scenario=scenario, policy=policy,
-                              cp_fidelity="round", seed=seed),
-                    until=horizon)
-                stats = result.stats(end=horizon)
-                peaks[policy].append(stats.peak_kw)
-                stds[policy].append(stats.std_kw)
-        peak_red = percent_reduction(
-            float(np.mean(peaks["uncoordinated"])),
-            float(np.mean(peaks["coordinated"])))
-        std_red = percent_reduction(
-            float(np.mean(stds["uncoordinated"])),
-            float(np.mean(stds["coordinated"])))
-        key = (min_dcd_min, max_dcp_min)
-        data[key] = {"peak_reduction_pct": peak_red,
-                     "std_reduction_pct": std_red}
-        rows.append([f"{min_dcd_min:g}/{max_dcp_min:g}",
-                     float(np.mean(peaks["uncoordinated"])),
-                     float(np.mean(peaks["coordinated"])),
-                     peak_red, std_red])
+        gap = _coordination_gap(
+            ScenarioSpec(name=f"spec-{min_dcd_min:g}-{max_dcp_min:g}",
+                         min_dcd_s=min_dcd_min * MINUTE,
+                         max_dcp_s=max_dcp_min * MINUTE),
+            seeds, horizon)
+        data[(min_dcd_min, max_dcp_min)] = {
+            "peak_reduction_pct": gap["peak_reduction_pct"],
+            "std_reduction_pct": gap["std_reduction_pct"]}
+        rows.append(_gap_row(f"{min_dcd_min:g}/{max_dcp_min:g}", gap))
     text = format_table(
         ["minDCD/maxDCP min", "w/o peak kW", "with peak kW",
          "peak red %", "std red %"],
@@ -226,17 +207,13 @@ def scheduler_variants(seeds: Sequence[int] = (1, 2, 3),
         ("stagger/strict", {"mode": "stagger", "deferral": "strict"}),
         ("grid", {"mode": "grid"}),
     ]
-    baseline_stats = [execute_config(
-        HanConfig(scenario=scenario, policy="uncoordinated",
-                  cp_fidelity="round", seed=seed),
-        until=horizon).stats(end=horizon) for seed in seeds]
-    wo_peak = float(np.mean([s.peak_kw for s in baseline_stats]))
-    wo_std = float(np.mean([s.std_kw for s in baseline_stats]))
+    baseline = _load_summary(_policy_runs(
+        "abl-variants-baseline", "uncoordinated", seeds, horizon), horizon)
+    wo_peak, wo_std = baseline["peak_kw"], baseline["std_kw"]
     rows = [["uncoordinated", wo_peak, wo_std, "-", "-", "-"]]
     data = {"uncoordinated": {"peak_kw": wo_peak, "std_kw": wo_std}}
     for label, overrides in variants:
-        stats = []
-        waits = []
+        results = []
         for seed in seeds:
             system = HanSystem(HanConfig(
                 scenario=scenario, policy="coordinated",
@@ -244,24 +221,30 @@ def scheduler_variants(seeds: Sequence[int] = (1, 2, 3),
             system.sched_config = replace(system.sched_config, **overrides)
             for agent in system.agents.values():
                 agent.config = system.sched_config
-            result = system.run(until=horizon)
-            stats.append(result.stats(end=horizon))
-            waits.extend(result.waiting_times())
-        peak = float(np.mean([s.peak_kw for s in stats]))
-        std = float(np.mean([s.std_kw for s in stats]))
-        wait_min = float(np.mean(waits)) / MINUTE if waits else 0.0
-        data[label] = {
-            "peak_kw": peak, "std_kw": std, "wait_min": wait_min,
-            "peak_reduction_pct": percent_reduction(wo_peak, peak),
-            "std_reduction_pct": percent_reduction(wo_std, std)}
-        rows.append([label, peak, std,
-                     data[label]["peak_reduction_pct"],
-                     data[label]["std_reduction_pct"], wait_min])
+            results.append(system.run(until=horizon))
+        row = _load_summary(results, horizon)
+        row["peak_reduction_pct"] = percent_reduction(wo_peak,
+                                                      row["peak_kw"])
+        row["std_reduction_pct"] = percent_reduction(wo_std, row["std_kw"])
+        data[label] = row
+        rows.append([label, row["peak_kw"], row["std_kw"],
+                     row["peak_reduction_pct"], row["std_reduction_pct"],
+                     row["wait_min"]])
     text = format_table(
         ["variant", "peak kW", "std kW", "peak red %", "std red %",
          "wait min"],
         rows, title="ABL-VARIANTS: scheduler placement variants")
     return FigureData(figure_id="abl-variants", text=text, data=data)
+
+
+def _run_fleet(name: str, fleet: FleetPlan, seed: int, cp_fidelity: str,
+               horizon: Optional[float], jobs: int):
+    """One ``neighborhood`` spec through the API: its NeighborhoodResult."""
+    return run_spec(ExperimentSpec(
+        name=name, kind="neighborhood",
+        scenario=ScenarioSpec(horizon_s=horizon),
+        control=ControlSpec(cp_fidelity=cp_fidelity), seeds=(seed,),
+        until_s=horizon, fleet=fleet), jobs=jobs).neighborhood
 
 
 def neighborhood_coordination(n_homes: Sequence[int] = (6, 12),
@@ -274,25 +257,23 @@ def neighborhood_coordination(n_homes: Sequence[int] = (6, 12),
                               jobs: int = 1) -> FigureData:
     """NBHD-COORD: feeder-level coordination vs independent homes.
 
-    For every (fleet mix, fleet size) cell, runs one neighborhood with the
-    feeder collaboration plane on
-    (:func:`~repro.neighborhood.federation.execute_fleet` with
-    ``coordination="feeder"``) — one run yields both sides, since the
-    independent baseline profile rides along in the
+    For every (fleet mix, fleet size) cell, runs one ``neighborhood``
+    spec with the feeder collaboration plane on
+    (``fleet.coordination: "feeder"``) — one run yields both sides,
+    since the independent baseline profile rides along in the
     :class:`~repro.neighborhood.coordination.FeederCoordination` record.
     Reports the diversity factor with and without cross-home staggering,
     the coincident-peak reduction, and the (identically zero) per-home
     energy drift.
     """
-    from repro.neighborhood import build_fleet, execute_fleet
     rows = []
     data = {}
     for mix in mixes:
         for n in n_homes:
-            fleet = build_fleet(n, mix=mix, seed=seed,
-                                cp_fidelity=cp_fidelity, horizon=horizon)
-            result = execute_fleet(fleet, jobs=jobs, until=horizon,
-                                   coordination="feeder")
+            result = _run_fleet(
+                f"nbhd-coord-{mix}-{n}",
+                FleetPlan(homes=n, mix=mix, coordination="feeder"),
+                seed, cp_fidelity, horizon, jobs)
             comparison = result.comparison()
             row = {
                 "mix": mix,
@@ -495,9 +476,10 @@ def grid_uplift(feeders: int = 20, homes: int = 500, mix: str = "suburb",
 
     Builds a grid of ``feeders`` identical feeder plans (``homes`` homes
     each — the registry defaults make the 10,000-home / 20-feeder
-    flagship) and runs it once in ``"substation"`` mode: per-feeder CP
-    rounds first, then feeder-level phase envelopes negotiating at the
-    substation (:func:`repro.neighborhood.grid.execute_grid`).  One run
+    flagship) and runs it once as a ``grid`` spec in ``"substation"``
+    mode: per-feeder CP rounds first, then feeder-level phase envelopes
+    negotiating at the substation
+    (:func:`repro.neighborhood.grid.execute_grid`).  One run
     yields both sides of the comparison — the fully-independent
     substation profile is the partition-invariant exact sum that rides
     along in every :class:`~repro.neighborhood.grid.GridResult`.
@@ -507,12 +489,13 @@ def grid_uplift(feeders: int = 20, homes: int = 500, mix: str = "suburb",
     lock on grid *execution*, not merely on its summary statistics.
     """
     import hashlib
-    from repro.api.spec import FeederPlan
-    from repro.neighborhood import build_grid, execute_grid
-    plans = [FeederPlan(homes=homes, mix=mix)] * feeders
-    grid = build_grid(plans, seed=seed, cp_fidelity=cp_fidelity,
-                      horizon=horizon)
-    result = execute_grid(grid, jobs=jobs, coordination="substation")
+    result = run_spec(ExperimentSpec(
+        name=f"grid-{feeders}feeders-{feeders * homes}homes", kind="grid",
+        scenario=ScenarioSpec(horizon_s=horizon),
+        control=ControlSpec(cp_fidelity=cp_fidelity), seeds=(seed,),
+        grid=GridPlan(feeders=(FeederPlan(homes=homes, mix=mix),) * feeders,
+                      coordination="substation")), jobs=jobs).grid
+    grid = result.grid
     comparison = result.comparison()
     digest = hashlib.sha256(repr((
         tuple(result.independent_w.times),
@@ -565,8 +548,8 @@ def online_uplift(homes: int = 500, mix: str = "suburb", seed: int = 1,
                   jobs: int = 1) -> FigureData:
     """NBHD-ONLINE: online epoch replanning vs post-hoc coordination.
 
-    Runs one fleet once, then replays the *same* per-home results
-    through the online epoch loop
+    Runs one fleet once (an independent ``neighborhood`` spec), then
+    replays the *same* per-home results through the online epoch loop
     (:func:`repro.neighborhood.online.coordinate_fleet_online`) under
     increasingly degraded information: the perfect-hindsight oracle,
     the oracle with multiplicative per-bin noise at each amplitude in
@@ -592,15 +575,14 @@ def online_uplift(homes: int = 500, mix: str = "suburb", seed: int = 1,
 
     from repro.neighborhood import (
         ForecastConfig,
-        build_fleet,
         coordinate_fleet,
         coordinate_fleet_online,
-        execute_fleet,
     )
     from repro.neighborhood.coordination import FeederConfig
-    fleet = build_fleet(homes, mix=mix, seed=seed,
-                        cp_fidelity=cp_fidelity, horizon=horizon)
-    baseline = execute_fleet(fleet, jobs=jobs, until=horizon)
+    baseline = _run_fleet(f"nbhd-online-{mix}-{homes}",
+                          FleetPlan(homes=homes, mix=mix), seed,
+                          cp_fidelity, horizon, jobs)
+    fleet = baseline.fleet
     results = baseline.homes
     config = FeederConfig(epoch=epoch)
     posthoc = coordinate_fleet(fleet, results, horizon, config=config)

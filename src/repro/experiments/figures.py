@@ -15,20 +15,30 @@ import numpy as np
 from repro.analysis.loadstats import percent_reduction
 from repro.analysis.report import format_table, side_by_side_series, sparkline
 from repro.api import run as run_spec
-from repro.api.spec import ControlSpec, ExperimentSpec, SweepSpec
+from repro.api.spec import ControlSpec, ExperimentSpec, ScenarioSpec, SweepSpec
 from repro.sim.units import KILOWATT, MINUTE
 from repro.workloads.scenarios import PAPER_RATES, paper_scenario
 
 
-def _paper_sweep(name: str, rates: Sequence[float], seeds: Sequence[int],
-                 cp_fidelity: str):
-    """Run the paper scenario's (rate x policy x seed) grid via the API."""
-    spec = ExperimentSpec(
-        name=name, kind="sweep",
-        control=ControlSpec(cp_fidelity=cp_fidelity),
-        seeds=tuple(seeds),
-        sweep=SweepSpec(rates=tuple(rates)))
-    return run_spec(spec).sweep_table()
+def _paper_sweep(name: str, seeds: Sequence[int],
+                 rates: Sequence[float] = (),
+                 policies: Sequence[str] = SweepSpec.policies,
+                 scenario: ScenarioSpec = ScenarioSpec(),
+                 horizon: Optional[float] = None, **control):
+    """Run a (rate x policy x seed) grid of the paper scenario via the API.
+
+    ``scenario`` overrides fields of the paper's high-rate preset and
+    ``control`` names :class:`~repro.api.spec.ControlSpec` fields.  With
+    ``rates`` the grid comes back as ``{rate: {policy: outcome}}``
+    (:meth:`~repro.api.run.Result.sweep_table`); without, as
+    ``{policy: outcome}`` (:meth:`~repro.api.run.Result.by_policy`).
+    """
+    result = run_spec(ExperimentSpec(
+        name=name, kind="sweep", scenario=scenario,
+        control=ControlSpec(**control), seeds=tuple(seeds),
+        until_s=horizon,
+        sweep=SweepSpec(rates=tuple(rates), policies=tuple(policies))))
+    return result.sweep_table() if rates else result.by_policy()
 
 
 @dataclass
@@ -81,7 +91,8 @@ def fig2b(seeds: Sequence[int] = (1, 2, 3), cp_fidelity: str = "round",
           horizon: Optional[float] = None) -> FigureData:
     """Figure 2(b): peak load vs arrival rate, with vs w/o coordination."""
     rates = list(rates) if rates is not None else sorted(PAPER_RATES.values())
-    sweep = _paper_sweep("fig2b", rates, seeds, cp_fidelity)
+    sweep = _paper_sweep("fig2b", seeds, rates=rates,
+                         cp_fidelity=cp_fidelity)
     rows = []
     data = {}
     for rate in rates:
@@ -111,7 +122,8 @@ def fig2c(seeds: Sequence[int] = (1, 2, 3), cp_fidelity: str = "round",
     standard deviation over the run), which is what coordination shrinks.
     """
     rates = list(rates) if rates is not None else sorted(PAPER_RATES.values())
-    sweep = _paper_sweep("fig2c", rates, seeds, cp_fidelity)
+    sweep = _paper_sweep("fig2c", seeds, rates=rates,
+                         cp_fidelity=cp_fidelity)
     rows = []
     data = {}
     for rate in rates:
@@ -139,7 +151,8 @@ def headline_numbers(seeds: Sequence[int] = (1, 2, 3, 4, 5),
                      cp_fidelity: str = "round") -> FigureData:
     """§III text: peak ↓ up to 50 %, variation ↓ up to 58 %, mean equal."""
     rates = sorted(PAPER_RATES.values())
-    sweep = _paper_sweep("headline", rates, seeds, cp_fidelity)
+    sweep = _paper_sweep("headline", seeds, rates=rates,
+                         cp_fidelity=cp_fidelity)
     peak_reductions = []
     std_reductions = []
     mean_drifts = []

@@ -68,22 +68,17 @@ def _execute_registry_entry(item: tuple) -> tuple:
     """Worker body for :meth:`ParallelRunner.regenerate`.
 
     ``item`` is ``(exp_id, cache)`` — the experiment id plus the (possibly
-    ``None``) :class:`~repro.api.cache.ResultCache` to consult.  Registry
-    entries are declarative now: when the experiment carries an
-    :class:`~repro.api.spec.ExperimentSpec` (all built-ins do), the
-    worker executes it through the spec API — the same path
-    ``repro run --spec`` takes, including the result cache — and falls
-    back to the entry's bare ``regenerate`` callable otherwise.
+    ``None``) :class:`~repro.api.cache.ResultCache` to consult.  The
+    worker executes the entry's :class:`~repro.api.spec.ExperimentSpec`
+    through the spec API — the same path ``repro run --spec`` takes,
+    including the result cache.
     """
     exp_id, cache = item
+    from repro.api import run as run_spec
     from repro.experiments.registry import get
     try:
-        experiment = get(exp_id)
-        if experiment.spec is not None:
-            from repro.api import run as run_spec
-            return ("ok", exp_id,
-                    run_spec(experiment.spec, cache=cache).artefact)
-        return ("ok", exp_id, experiment.regenerate())
+        return ("ok", exp_id,
+                run_spec(get(exp_id).spec, cache=cache).artefact)
     except Exception:
         return ("err", exp_id, traceback.format_exc())
 
@@ -137,8 +132,8 @@ class ParallelRunner:
         """Regenerate registry artefacts (figures/ablations) by id.
 
         ``cache`` (a :class:`~repro.api.cache.ResultCache`, or ``None``)
-        rides along to every worker, so spec-backed entries are served
-        from / stored to the result cache.
+        rides along to every worker, so entries are served from /
+        stored to the result cache.
         """
         return self._map(_execute_registry_entry,
                          [(exp_id, cache) for exp_id in exp_ids])

@@ -181,18 +181,19 @@ def test_neighborhood_worker_error_names_home(capsys, monkeypatch):
 
 
 def test_regen_command_runs_entries(capsys, monkeypatch):
+    from repro.api import ArtefactSpec, ExperimentSpec
     from repro.experiments import registry
 
-    class FakeArtefact:
-        text = "FAKE-ARTEFACT-OUTPUT"
-
-    fake = registry.Experiment("FAKE", "none", "cheap test entry",
-                               FakeArtefact, "none")
+    spec = ExperimentSpec(name="FAKE", kind="artefact",
+                          artefact=ArtefactSpec(kind="cp-trace",
+                                                params={"rounds": 2}))
+    fake = registry.Experiment("FAKE", "none", "cheap test entry", "none",
+                               spec=spec)
     monkeypatch.setitem(registry.REGISTRY, "FAKE", fake)
     code, out = run_cli(capsys, "regen", "FAKE")
     assert code == 0
     assert "== FAKE ==" in out
-    assert "FAKE-ARTEFACT-OUTPUT" in out
+    assert "FIG1: Communication Plane" in out
 
 
 def test_regen_unknown_id_rejected(capsys):

@@ -1,4 +1,11 @@
-"""Experiment harness: figures, CP trace, ablations (small configs)."""
+"""Experiment harness: figures, CP trace, ablations (small configs).
+
+The ablation tests also lock each small config's rendered ``text`` by
+its sha256, so a change to how an ablation executes its cells must
+reproduce the table byte for byte.
+"""
+
+import hashlib
 
 import pytest
 
@@ -16,6 +23,7 @@ from repro.experiments import (
     fig2c,
     headline_numbers,
     loss_sweep,
+    neighborhood_coordination,
     scale_sweep,
     scheduler_variants,
     slots_sweep,
@@ -27,6 +35,10 @@ from repro.sim.units import MINUTE
 
 SHORT = 90 * MINUTE
 SEEDS = (1,)
+
+
+def text_digest(figure) -> str:
+    return hashlib.sha256(figure.text.encode()).hexdigest()
 
 
 def low_sweep(rates=()):
@@ -101,6 +113,8 @@ def test_cp_period_sweep_latency_grows():
                              horizon=SHORT)
     assert figure.data[60.0]["admission_latency_s"] > \
         figure.data[2.0]["admission_latency_s"]
+    assert text_digest(figure) == ("4c54413b5f003eb2ac7192da3350b270"
+                                   "8342d2d2b2ae188bb697b3affce7afc3")
 
 
 def test_loss_sweep_delivery_degrades():
@@ -109,6 +123,8 @@ def test_loss_sweep_delivery_degrades():
         figure.data[3.5]["flood_delivery"] + 1e-9
     # even a near-partitioned channel must not break self-admission
     assert figure.data[4.45]["admitted_fraction"] > 0.8
+    assert text_digest(figure) == ("358af1e0cfd618b717ec75d809bb1576"
+                                   "210c938e99c9db541e83df45aae8980c")
 
 
 def test_scale_sweep_structure():
@@ -117,12 +133,16 @@ def test_scale_sweep_structure():
     assert set(figure.data) == {10, 26}
     for row in figure.data.values():
         assert row["peak_with"] <= row["peak_wo"] + 1e-9
+    assert text_digest(figure) == ("570528fa804fc11aa9ac01e3f6d908a1"
+                                   "4d3560f166dd58b8d25252bf5adf6300")
 
 
 def test_slots_sweep_structure():
     figure = slots_sweep(specs=((15, 30), (10, 30)), seeds=SEEDS,
                          horizon=SHORT)
     assert (15, 30) in figure.data and (10, 30) in figure.data
+    assert text_digest(figure) == ("a84c46f9e938759177978f6598da4a67"
+                                   "6ca1408120422bd99ec6ecb1e404b0c9")
 
 
 def test_scheduler_variants_orders_stagger_first():
@@ -130,6 +150,19 @@ def test_scheduler_variants_orders_stagger_first():
     assert "stagger/period" in figure.data
     assert "grid" in figure.data
     assert figure.data["stagger/period"]["peak_kw"] > 0
+    assert text_digest(figure) == ("5eefdd6daba8a9b43045909485876145"
+                                   "376d094b14d3af6bf3c2935e16cc974e")
+
+
+def test_neighborhood_coordination_small_fleets():
+    figure = neighborhood_coordination(n_homes=(2, 3), mixes=("mixed",),
+                                       cp_fidelity="ideal",
+                                       horizon=45 * MINUTE)
+    assert set(figure.data) == {("mixed", 2), ("mixed", 3)}
+    for row in figure.data.values():
+        assert abs(row["energy_drift_pct"]) < 1e-9
+    assert text_digest(figure) == ("19f44ba32713cd6a73c576f45a8aff00"
+                                   "624454a85301d6d14f9e0c56765b8fdb")
 
 
 def test_st_vs_at_story():
