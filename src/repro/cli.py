@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -499,7 +500,16 @@ def _run_seed_fanout(args: argparse.Namespace, spec: ExperimentSpec) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro list | head -1``):
+        # point stdout at devnull so the interpreter's exit flush cannot
+        # raise again, and fail quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except WorkerFailure as failure:
         print(f"error: {failure}", file=sys.stderr)
         return 1

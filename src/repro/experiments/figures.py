@@ -91,7 +91,7 @@ def fig2b(seeds: Sequence[int] = (1, 2, 3), cp_fidelity: str = "round",
           horizon: Optional[float] = None) -> FigureData:
     """Figure 2(b): peak load vs arrival rate, with vs w/o coordination."""
     rates = list(rates) if rates is not None else sorted(PAPER_RATES.values())
-    sweep = _paper_sweep("fig2b", seeds, rates=rates,
+    sweep = _paper_sweep("fig2b", seeds, rates=rates, horizon=horizon,
                          cp_fidelity=cp_fidelity)
     rows = []
     data = {}
@@ -122,7 +122,7 @@ def fig2c(seeds: Sequence[int] = (1, 2, 3), cp_fidelity: str = "round",
     standard deviation over the run), which is what coordination shrinks.
     """
     rates = list(rates) if rates is not None else sorted(PAPER_RATES.values())
-    sweep = _paper_sweep("fig2c", seeds, rates=rates,
+    sweep = _paper_sweep("fig2c", seeds, rates=rates, horizon=horizon,
                          cp_fidelity=cp_fidelity)
     rows = []
     data = {}

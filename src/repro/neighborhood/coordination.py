@@ -324,13 +324,22 @@ class FeederPlane:
     all-to-all merge was O(N³) per sweep and dominated the whole run.
     Because IdealCP delivery is loss-free, every gateway's merged view is
     simply "each home's latest claim", so :meth:`reclaim` evolves that
-    shared state directly — same claim sequence bit for bit (the
-    per-home rolled envelopes are cached and re-summed in home order at
-    every claim, never incrementally updated, so no float drift) — and
-    :func:`negotiate_offsets` accounts the identical
-    :class:`~repro.st.rounds.CpStats` the driver produced.
+    shared state directly and :func:`negotiate_offsets` accounts the
+    identical :class:`~repro.st.rounds.CpStats` the IdealCP rounds
+    produced.
     :class:`HomeItem` remains the wire format the stats meter airtime
     against.
+
+    The shared state is array-backed.  One ``(n+1) × bins`` table holds
+    every home's envelope rolled by its current claim, in ``home_ids``
+    order below an all-zero row 0; each home also keeps its
+    ``shifts × bins`` stack of candidate rolls, built only when its
+    envelope is published.  A claim round is then one sequential
+    accumulate over the table (the others' projected load, summed left
+    to right from 0.0 in home order — never incrementally updated, so no
+    float drift) and one broadcast max over the claimant's stack: the
+    same claim sequence, bit for bit, as summing the rolled envelopes
+    one by one.
     """
 
     def __init__(self, home_ids: Sequence[int],
@@ -341,18 +350,37 @@ class FeederPlane:
             raise ValueError(f"need >= 1 candidate shift, got {shifts}")
         self.home_ids = list(home_ids)
         self.shifts = shifts
-        self._envelopes = {home: np.asarray(envelopes[home], dtype=float)
-                           for home in self.home_ids}
         #: seeded claims carry a previous epoch's negotiation state into
         #: an online re-negotiation (:func:`renegotiate_offsets`)
         self.claims: dict[int, int] = (
             {home: 0 for home in self.home_ids} if claims is None
             else {home: int(claims[home]) for home in self.home_ids})
-        #: each home's envelope rolled by its current claim — what the
-        #: other gateways' merged views hold for it
-        self._rolled = {home: np.roll(self._envelopes[home],
-                                      self.claims[home])
-                        for home in self.home_ids}
+        self._row = {home: row for row, home in
+                     enumerate(self.home_ids, start=1)}
+        self._bins = (len(envelopes[self.home_ids[0]])
+                      if self.home_ids else 0)
+        #: row ``_row[home]`` is ``home``'s envelope rolled by its
+        #: current claim — what the other gateways' merged views hold
+        #: for it; row 0 stays zero so every sum starts from 0.0
+        self._table = np.zeros((len(self.home_ids) + 1, self._bins),
+                               dtype=float)
+        #: per home, ``stack[s, j] = envelope[(j − s) mod bins]``
+        self._stacks: dict[int, np.ndarray] = {}
+        for home in self.home_ids:
+            self._publish(home, envelopes[home])
+
+    def _publish(self, node: int, envelope: tuple[float, ...]) -> None:
+        """Store ``node``'s shift stack and its claimed row."""
+        values = np.asarray(envelope, dtype=float)
+        if values.shape != (self._bins,):
+            raise ValueError(
+                f"home {node} envelope has {values.size} bins, "
+                f"expected {self._bins}")
+        bins = np.arange(self._bins)
+        self._stacks[node] = values[
+            (bins[None, :] - np.arange(self.shifts)[:, None]) % self._bins]
+        self._table[self._row[node]] = values[
+            (bins - self.claims[node]) % self._bins]
 
     def update_envelope(self, node: int,
                         envelope: tuple[float, ...]) -> None:
@@ -362,16 +390,7 @@ class FeederPlane:
         predicted envelope changed announces the new one; its claimed
         shift stands until a later claim round moves it.
         """
-        self._envelopes[node] = np.asarray(envelope, dtype=float)
-        self._rolled[node] = np.roll(self._envelopes[node],
-                                     self.claims[node])
-
-    def item(self, node: int) -> HomeItem:
-        """The gateway's current :class:`HomeItem` (the wire form)."""
-        envelope = self._envelopes[node]
-        return HomeItem(home_id=node, version=1, shift=self.claims[node],
-                        envelope=tuple(envelope),
-                        peak_w=float(envelope.max(initial=0.0)))
+        self._publish(node, envelope)
 
     def reclaim(self, token: int) -> bool:
         """Give ``token`` the claim round: re-pick its phase offset.
@@ -382,18 +401,23 @@ class FeederPlane:
         if best == self.claims[token]:
             return False
         self.claims[token] = best
-        self._rolled[token] = np.roll(self._envelopes[token], best)
+        self._table[self._row[token]] = self._stacks[token][best]
         return True
 
     # -- the claim rule ----------------------------------------------------------
 
     def _combined_others(self, node: int) -> np.ndarray:
-        """Projected feeder load per bin from everyone else's claims."""
-        combined = np.zeros(len(self._envelopes[node]), dtype=float)
-        for home in self.home_ids:
-            if home == node:
-                continue
-            combined += self._rolled[home]
+        """Projected feeder load per bin from everyone else's claims.
+
+        ``np.add.accumulate`` fixes the order: row by row, from the zero
+        row, in home order — ``sum``/``add.reduce`` promise no order and
+        pairwise-sum long axes.
+        """
+        row = self._row[node]
+        own = self._table[row].copy()
+        self._table[row] = 0.0
+        combined = np.add.accumulate(self._table, axis=0)[-1]
+        self._table[row] = own
         return combined
 
     def _best_shift(self, node: int) -> int:
@@ -404,18 +428,13 @@ class FeederPlane:
         claim when it ties (stability — only strict improvements move),
         (3) the earliest phase.
         """
-        combined = self._combined_others(node)
-        envelope = self._envelopes[node]
+        peaks = (self._combined_others(node)
+                 + self._stacks[node]).max(axis=1)
+        candidates = np.flatnonzero(peaks <= float(peaks.min()) + 1e-9)
         current = self.claims[node]
-        rolled = np.stack([np.roll(envelope, s)
-                           for s in range(self.shifts)])
-        peaks = (combined[None, :] + rolled).max(axis=1)
-        floor = float(peaks.min())
-        candidates = [s for s in range(self.shifts)
-                      if peaks[s] <= floor + 1e-9]
         if current in candidates:
             return current
-        return candidates[0]
+        return int(candidates[0])
 
 
 def _claim_sweeps(plane: FeederPlane, tokens: Sequence[int],

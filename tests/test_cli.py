@@ -1,8 +1,15 @@
 """Command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -592,3 +599,16 @@ OPTION_TABLE = {
 
 def test_every_subcommand_keeps_its_options_and_defaults():
     assert _option_table(build_parser()) == OPTION_TABLE
+
+
+def test_closed_stdout_exits_quietly():
+    """``repro list | head -1``: a reader that closes early ends the
+    command with exit 1 and no traceback."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen([sys.executable, "-m", "repro", "list"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    proc.stdout.close()  # the reader is gone before the first write
+    stderr = proc.communicate(timeout=60)[1].decode()
+    assert "Traceback" not in stderr
+    assert proc.returncode == 1

@@ -12,6 +12,7 @@ The golden uplift lock follows the policy in ``docs/regression-policy.md``.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.neighborhood import (
@@ -152,23 +153,32 @@ def test_negotiation_converges_and_stops():
 # -- brute-force claim-round oracle -------------------------------------------
 
 
+def _rolled(envelope, shift, j):
+    """Bin ``j`` of ``envelope`` delayed by ``shift`` bins, cyclically."""
+    return envelope[(j - shift) % len(envelope)]
+
+
+def _oracle_others(home_ids, envelopes, claims, node):
+    """Everyone but ``node``'s claimed envelopes, summed per bin one home
+    at a time in home order, starting from 0.0."""
+    others = []
+    for j in range(len(envelopes[node])):
+        total = 0.0
+        for home in home_ids:
+            if home != node:
+                total += _rolled(envelopes[home], claims[home], j)
+        others.append(total)
+    return others
+
+
 def _oracle_best_shift(home_ids, envelopes, claims, node, shifts):
     """``FeederPlane._best_shift`` as plain loops: per-bin sums of the
     others' rolled envelopes in home order, then the same tie keys
     (smallest peak, the current claim within 1e-9, earliest shift)."""
     bins = len(envelopes[node])
-
-    def rolled(home, shift, j):
-        return envelopes[home][(j - shift) % bins]
-
-    others = []
-    for j in range(bins):
-        total = 0.0
-        for home in home_ids:
-            if home != node:
-                total += rolled(home, claims[home], j)
-        others.append(total)
-    peaks = [max(others[j] + rolled(node, shift, j) for j in range(bins))
+    others = _oracle_others(home_ids, envelopes, claims, node)
+    peaks = [max(others[j] + _rolled(envelopes[node], shift, j)
+                 for j in range(bins))
              for shift in range(shifts)]
     floor = min(peaks)
     ties = [shift for shift in range(shifts) if peaks[shift] <= floor + 1e-9]
@@ -203,7 +213,11 @@ def _random_envelopes(rng, home_ids, bins, levels):
 #: ``(homes, bins, shifts, levels)``: coarse integer levels force exact
 #: ties, levels 4e-10 apart force ties inside the 1e-9 tolerance; fine
 #: random levels exercise float sums; one all-zero fleet and one single
-#: home.
+#: home; signed zeros, which the sum turns into +0.0 as the loop does.
+#: The last two are the real shapes — the online epoch's (12 homes,
+#: 5 bins, 5 shifts) and the fleet's (24 homes, 60 bins, 45 shifts) —
+#: long enough that a pairwise or exactly rounded sum lands on
+#: different bits than the sequential one.
 ORACLE_CASES = [
     (5, 8, 8, (0.0, 1000.0, 2000.0)),
     (5, 8, 8, (0.0, 1000.0, 1000.0000000004)),
@@ -211,6 +225,9 @@ ORACLE_CASES = [
     (6, 10, 10, None),
     (4, 6, 6, (0.0,)),
     (1, 8, 8, None),
+    (4, 6, 6, (-0.0, 500.0)),
+    (12, 5, 5, None),
+    (24, 60, 45, None),
 ]
 
 
@@ -241,6 +258,20 @@ def test_claim_rounds_match_brute_force_oracle(seed, homes, bins, shifts,
                                homes, config.max_sweeps) if tokens
                 else (claims, CpStats(), 0))
     assert renegotiate_offsets(plane, changed, config) == expected
+    # The projected load each claim is judged against is the
+    # sequential home-order sum, bit for bit (signed zeros included).
+    for node in home_ids:
+        others = _oracle_others(home_ids, moved, plane.claims, node)
+        assert plane._combined_others(node).tobytes() \
+            == np.array(others, dtype=float).tobytes()
+
+
+def test_envelopes_of_unequal_width_are_refused():
+    with pytest.raises(ValueError, match="bins"):
+        FeederPlane([0, 1], {0: (1.0, 2.0, 3.0), 1: (1.0, 2.0)}, 3)
+    plane = FeederPlane([0, 1], {0: (1.0, 2.0), 1: (2.0, 1.0)}, 2)
+    with pytest.raises(ValueError, match="bins"):
+        plane.update_envelope(1, (5.0,))
 
 
 # -- conservation invariants on a real fleet ----------------------------------
