@@ -6,10 +6,12 @@ merge, no resampling) and deterministic: the per-event totals are the
 *correctly rounded* sums of the member values — the same value
 ``math.fsum`` produces — so the aggregate is bit-identical regardless of
 which worker produced which home **and regardless of how the fleet was
-partitioned into shards**.  The fast path is a vectorized compensated
-sum (:func:`_sum2_columns`) with a per-event rounding-certainty margin;
-the vanishingly rare events the margin cannot certify are re-summed with
-``math.fsum`` directly.
+partitioned into shards**.  The members' records are flattened into
+one :class:`RecordTable`, and the fast path is a vectorized compensated
+sum over it (:func:`_sum2_blocks`) with a per-event rounding-certainty
+margin; the events the margin cannot certify are re-summed with
+``math.fsum`` directly.  :func:`table_sums` is that one exact-sum core:
+:func:`sum_series` and every online epoch's feeder window go through it.
 
 Fleet-scale runs pre-reduce per shard: each worker folds its homes into
 one :class:`SeriesPartial` (hi/lo compensated pair per event), and the
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -46,17 +48,83 @@ from repro.sim.monitor import StepSeries
 _U = 2.0 ** -53
 
 
-def dedup_records(times: np.ndarray,
-                  values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """What :meth:`~repro.sim.monitor.StepSeries.record` would keep.
+@dataclass(frozen=True)
+class RecordTable:
+    """Several step series' records as one flat (CSR) table.
 
-    Replays a ``(time, value)``-lexsorted event stream through the record
-    semantics — same-instant groups collapse to their last entry, and an
-    entry equal to the value already in force is dropped *unless* it got
-    there via a same-instant overwrite — entirely vectorized.  The
-    returned arrays feed :meth:`~repro.sim.monitor.StepSeries.from_arrays`
-    bit-identically to a scalar record loop over the same (sorted)
-    stream.
+    ``times`` and ``values`` concatenate every member's records in
+    member order; member ``k`` owns entries ``first[k]`` up to
+    ``first[k + 1]`` (``first`` has one entry per member plus the
+    total).  Within a member, times strictly increase, as
+    :meth:`~repro.sim.monitor.StepSeries.record` keeps them.  The
+    batched rotation
+    (:func:`repro.neighborhood.coordination.rotate_windows`) reads and
+    writes this form, and :func:`table_sums` sums it, so a whole fleet
+    is rotated and summed without one array call per home.
+    """
+
+    times: np.ndarray
+    values: np.ndarray
+    first: np.ndarray
+
+    @classmethod
+    def of(cls, members: Iterable[tuple[np.ndarray, np.ndarray]],
+           ) -> "RecordTable":
+        """The table of ``(times, values)`` array pairs, in order."""
+        pairs = list(members)
+        first = np.zeros(len(pairs) + 1, dtype=np.intp)
+        np.cumsum([times.size for times, _values in pairs], out=first[1:])
+        if not pairs:
+            return cls(np.zeros(0), np.zeros(0), first)
+        return cls(np.concatenate([times for times, _values in pairs]),
+                   np.concatenate([values for _times, values in pairs]),
+                   first)
+
+    @classmethod
+    def of_series(cls, series_list: Iterable[StepSeries]) -> "RecordTable":
+        """The table of ``series_list``'s recordings, in order."""
+        return cls.of(series._data() for series in series_list)
+
+    @classmethod
+    def of_owned(cls, times: np.ndarray, values: np.ndarray,
+                 owner: np.ndarray, n: int) -> "RecordTable":
+        """The table of entries already grouped by ``owner`` (ascending
+        member indices below ``n``)."""
+        first = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(owner, minlength=n), out=first[1:])
+        return cls(times, values, first)
+
+    @property
+    def n(self) -> int:
+        """How many members the table holds."""
+        return self.first.size - 1
+
+    def owners(self) -> np.ndarray:
+        """The member index of every entry."""
+        return np.repeat(np.arange(self.n), np.diff(self.first))
+
+    def member(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Member ``k``'s ``(times, values)`` arrays."""
+        lo, hi = self.first[k], self.first[k + 1]
+        return self.times[lo:hi], self.values[lo:hi]
+
+    def series(self, names: Sequence[str]) -> list[StepSeries]:
+        """One step series per member, named in order."""
+        return [StepSeries.from_arrays(name, *self.member(k))
+                for k, name in enumerate(names)]
+
+
+def record_keep(times: np.ndarray, values: np.ndarray,
+                owner: Optional[np.ndarray] = None) -> np.ndarray:
+    """Indices of the entries :meth:`~repro.sim.monitor.StepSeries.record`
+    would keep, replaying a ``(time, value)``-lexsorted event stream.
+
+    Same-instant groups collapse to their last entry, and an entry equal
+    to the value already in force is dropped *unless* it got there via
+    a same-instant overwrite.  ``owner`` (ascending member indices, one
+    per entry) replays several members' streams at once: groups also
+    split where the owner changes, and each member's first group is
+    always kept.
 
     The lexsort precondition is load-bearing, not cosmetic: within a
     same-instant group the record loop's skip-then-overwrite behaviour
@@ -64,13 +132,14 @@ def dedup_records(times: np.ndarray,
     its equal for value-ascending groups — so unsorted input is rejected
     rather than silently mis-collapsed.
     """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
     if times.size == 0:
-        return times, values
+        return np.zeros(0, dtype=np.intp)
     time_step = np.diff(times)
-    if np.any(time_step < 0) or np.any(
-            (time_step == 0) & (np.diff(values) < 0)):
+    same = True if owner is None else owner[1:] == owner[:-1]
+    if (owner is not None and np.any(owner[1:] < owner[:-1])) \
+            or np.any(same & (time_step < 0)) \
+            or np.any(same & (time_step == 0)
+                      & (np.diff(values) < 0)):
         raise ValueError("dedup_records needs a (time, value)-lexsorted "
                          "stream")
     # Last entry of each same-instant group wins (same-instant overwrite);
@@ -78,16 +147,34 @@ def dedup_records(times: np.ndarray,
     # no-change skip (record() only skips while nothing of the group has
     # been appended, and values within a group arrive sorted).
     boundary = times[1:] != times[:-1]
-    last = np.concatenate([boundary, [True]])
-    first = np.concatenate([[True], boundary])
-    group_times = times[last]
+    if owner is not None:
+        boundary |= ~same
+    last = np.flatnonzero(np.concatenate([boundary, [True]]))
+    first = np.flatnonzero(np.concatenate([[True], boundary]))
     group_last = values[last]
-    group_first = values[first]
-    keep = np.empty(group_times.size, dtype=bool)
+    repeat = (values[first[1:]] == group_last[1:]) \
+        & (group_last[1:] == group_last[:-1])
+    if owner is not None:
+        repeat &= owner[last[1:]] == owner[last[:-1]]
+    keep = np.empty(last.size, dtype=bool)
     keep[0] = True
-    keep[1:] = ~((group_first[1:] == group_last[1:])
-                 & (group_last[1:] == group_last[:-1]))
-    return group_times[keep], group_last[keep]
+    keep[1:] = ~repeat
+    return last[keep]
+
+
+def dedup_records(times: np.ndarray,
+                  values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What :meth:`~repro.sim.monitor.StepSeries.record` would keep of a
+    ``(time, value)``-lexsorted stream (see :func:`record_keep`).
+
+    The returned arrays feed
+    :meth:`~repro.sim.monitor.StepSeries.from_arrays` bit-identically to
+    a scalar record loop over the same (sorted) stream.
+    """
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    kept = record_keep(times, values)
+    return times[kept], values[kept]
 
 
 def _sample_arrays(times: np.ndarray, values: np.ndarray,
@@ -105,30 +192,86 @@ def _sample_arrays(times: np.ndarray, values: np.ndarray,
     return np.where(index >= 0, out, 0.0)
 
 
-def _sum2_columns(columns: Sequence[np.ndarray],
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compensated (Sum2) column-wise sum: ``(hi, lo, abs_sum)`` per row.
+#: (member, event) cells :func:`_sum2_blocks` samples at once: its working
+#: set is a few arrays of this many entries, however large the table
+_SUM_BLOCK_CELLS = 1 << 14
 
-    One error-free two-sum per column keeps ``hi + lo`` within
-    ``O((n·u)²) · Σ|x|`` of the exact sum (Ogita–Rump–Oishi *Sum2*), all
-    rows at once; ``abs_sum`` scales that bound per row.
+
+def _sum2_blocks(table: RecordTable, events: np.ndarray,
+                 ) -> Iterator[tuple[slice, np.ndarray, np.ndarray,
+                                     np.ndarray, np.ndarray]]:
+    """Compensated (Sum2) sum of ``table``'s members at ``events``.
+
+    ``events`` is the sorted union of the record times; each member is
+    sampled there as a step function (0.0 before its first record).
+    One error-free two-sum per member keeps ``hi + lo`` within
+    ``O((n·u)²) · Σ|x|`` of the exact sum (Ogita–Rump–Oishi *Sum2*);
+    ``abs_sum`` scales that bound per event.
+
+    Events go in blocks of at most :data:`_SUM_BLOCK_CELLS` sampled
+    cells, and each block yields ``(events slice, samples, hi, lo,
+    abs_sum)`` with ``samples`` the ``n × width`` member values.  A
+    block's samples are each member's latest record index, filled
+    forward along the events with ``np.maximum.accumulate`` (a member's
+    record indices grow with its times) and carried into the next block.
+    The members are added in order, from 0.0: ``np.add.accumulate``
+    along the member axis adds row by row below a zero row, which is the
+    order of one two-sum per member column (``sum``/``add.reduce``
+    promise no order).
     """
-    hi = np.zeros_like(np.asarray(columns[0], dtype=float))
-    lo = np.zeros_like(hi)
-    abs_sum = np.zeros_like(hi)
-    for column in columns:
-        column = np.asarray(column, dtype=float)
-        total = hi + column
-        virtual = total - hi
-        err = (hi - (total - virtual)) + (column - virtual)
-        lo = lo + err
-        abs_sum = abs_sum + np.abs(column)
-        hi = total
-    return hi, lo, abs_sum
+    n = table.n
+    owner = table.owners()
+    position = np.searchsorted(events, table.times)
+    # index -1 (no record yet) reads the trailing 0.0
+    padded = np.append(table.values, 0.0)
+    carry = np.full(n, -1, dtype=np.intp)
+    width = max(_SUM_BLOCK_CELLS // (n + 1), 1)
+    for begin in range(0, events.size, width):
+        stop = min(begin + width, events.size)
+        latest = np.full((n, stop - begin), -1, dtype=np.intp)
+        inside = np.flatnonzero((position >= begin) & (position < stop))
+        latest[owner[inside], position[inside] - begin] = inside
+        np.maximum(latest[:, 0], carry, out=latest[:, 0])
+        np.maximum.accumulate(latest, axis=1, out=latest)
+        carry = latest[:, -1]
+        terms = np.zeros((n + 1, stop - begin))
+        np.take(padded, latest, out=terms[1:])
+        totals = np.add.accumulate(terms, axis=0)
+        hi = totals[-1].copy()
+        # err = (before − (after − virtual)) + (term − virtual), with
+        # virtual = after − before: one buffer per operand, no temporaries
+        before, after = totals[:-1], totals[1:]
+        virtual = after - before
+        errors = np.empty_like(terms)
+        errors[0] = 0.0
+        np.subtract(after, virtual, out=errors[1:])
+        np.subtract(before, errors[1:], out=errors[1:])
+        np.subtract(terms[1:], virtual, out=virtual)
+        np.add(errors[1:], virtual, out=errors[1:])
+        lo = np.add.accumulate(errors, axis=0, out=errors)[-1].copy()
+        np.abs(terms, out=totals)
+        abs_sum = np.add.accumulate(totals, axis=0, out=totals)[-1].copy()
+        yield slice(begin, stop), terms[1:], hi, lo, abs_sum
+
+
+def _sum2_table(table: RecordTable,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(events, hi, lo, abs_sum)`` of :func:`_sum2_blocks` over the
+    table's whole event union."""
+    events = np.unique(table.times)
+    hi = np.empty(events.size)
+    lo = np.empty(events.size)
+    abs_sum = np.empty(events.size)
+    for block, _samples, block_hi, block_lo, block_abs \
+            in _sum2_blocks(table, events):
+        hi[block] = block_hi
+        lo[block] = block_lo
+        abs_sum[block] = block_abs
+    return events, hi, lo, abs_sum
 
 
 def _sum2_error_bound(n_terms: int, abs_sum: np.ndarray) -> np.ndarray:
-    """Per-row bound on ``|exact − (hi + lo)|`` after :func:`_sum2_columns`.
+    """Per-row bound on ``|exact − (hi + lo)|`` after :func:`_sum2_table`.
 
     Published Sum2 bound is ``2·γ²(n−1)·Σ|x|``; the factor 8 absorbs the
     γ-vs-``n·u`` slack and the rounding of ``abs_sum`` itself.
@@ -157,49 +300,46 @@ def _round_to_nearest(hi: np.ndarray, lo: np.ndarray,
     return rounded, ~certain
 
 
-def _exact_row_sums(columns: Sequence[np.ndarray],
-                    fallback: Callable[[np.ndarray], np.ndarray],
-                    ) -> np.ndarray:
-    """Correctly rounded per-row sums over ``columns``.
+def table_sums(table: RecordTable) -> tuple[np.ndarray, np.ndarray]:
+    """The exact sum of ``table``'s members: ``(events, sums)``.
 
-    The vectorized Sum2 pass covers (in practice) every row; rows whose
-    certainty margin fails — exact sums within ``~2⁻⁸⁶`` relative of a
-    rounding boundary — are recomputed via ``fallback(row_indices)``,
-    which must return the ``math.fsum`` of each flagged row.
+    The one exact-sum core: :func:`sum_series` and every online epoch's
+    feeder window go through it.  ``events`` is the sorted union of the
+    record times and ``sums[i]`` the *correctly rounded* total of every
+    member's value at ``events[i]`` — the ``math.fsum`` value.  The
+    vectorized Sum2 pass (:func:`_sum2_blocks`) certifies most events;
+    the rest are re-summed with ``math.fsum`` over the block's samples.
+    The quarter-ulp margin is conservative: an exact sum that sits a
+    quarter-ulp from a float fails it, and on fleets whose loads are
+    multiples of a few appliance ratings that is common (428 of 912
+    events of one 100-home suburb fleet's hour).
     """
-    hi, lo, abs_sum = _sum2_columns(columns)
-    sums, uncertain = _round_to_nearest(
-        hi, lo, _sum2_error_bound(len(columns), abs_sum))
-    if uncertain.any():
-        rows = np.flatnonzero(uncertain)
-        sums[rows] = fallback(rows)
-    return sums
+    events = np.unique(table.times)
+    sums = np.empty(events.size)
+    for block, samples, hi, lo, abs_sum in _sum2_blocks(table, events):
+        rounded, uncertain = _round_to_nearest(
+            hi, lo, _sum2_error_bound(table.n, abs_sum))
+        columns = np.flatnonzero(uncertain)
+        rounded[columns] = [math.fsum(values)
+                            for values in samples[:, columns].T.tolist()]
+        sums[block] = rounded
+    return events, sums
 
 
 def sum_series(series_list: Sequence[StepSeries],
                name: str = "feeder") -> StepSeries:
     """Exact sum of step functions: a new series stepping at every event.
 
-    Fully vectorized, bit-identical to the scalar definition: every
-    member is sampled at the sorted-unique union of event times, per-event
-    totals are the correctly rounded sums of the member values (the
-    ``math.fsum`` value, via :func:`_exact_row_sums`), and the output
+    Fully vectorized, bit-identical to the scalar definition: the
+    members' records are flattened into one :class:`RecordTable`,
+    per-event totals are the correctly rounded sums of the member values
+    (the ``math.fsum`` value, via :func:`table_sums`), and the output
     keeps exactly the events a scalar ``record`` loop would keep.
     """
-    gathered = [series._data()[0] for series in series_list
-                if len(series)]
-    if not gathered:
+    table = RecordTable.of_series(series_list)
+    if not table.times.size:
         return StepSeries(name)
-    events = np.unique(np.concatenate(gathered))
-    columns = [series.sample(events) for series in series_list]
-
-    def _fsum_rows(rows: np.ndarray) -> np.ndarray:
-        stacked = np.stack([column[rows] for column in columns], axis=1)
-        return np.array([math.fsum(row.tolist()) for row in stacked])
-
-    sums = _exact_row_sums(columns, _fsum_rows)
-    times, values = dedup_records(events, sums)
-    return StepSeries.from_arrays(name, times, values)
+    return StepSeries.from_arrays(name, *dedup_records(*table_sums(table)))
 
 
 @dataclass(frozen=True)
@@ -237,13 +377,10 @@ def partial_sum(series_list: Sequence[StepSeries]) -> SeriesPartial:
     arithmetic on the (bit-deterministic) member series, no rounding
     decision is taken here.
     """
-    gathered = [series._data()[0] for series in series_list
-                if len(series)]
-    if not gathered:
+    table = RecordTable.of_series(series_list)
+    if not table.times.size:
         return SeriesPartial.empty(len(series_list))
-    events = np.unique(np.concatenate(gathered))
-    columns = [series.sample(events) for series in series_list]
-    hi, lo, abs_sum = _sum2_columns(columns)
+    events, hi, lo, abs_sum = _sum2_table(table)
     return SeriesPartial(times=events, hi=hi, lo=lo, abs_w=abs_sum,
                          n_series=len(series_list))
 
@@ -266,17 +403,16 @@ def combine_partials(partials: Sequence[SeriesPartial],
     nonempty = [p for p in partials if p.times.size]
     if not nonempty:
         return StepSeries(name)
-    events = np.unique(np.concatenate([p.times for p in nonempty]))
-    columns: list[np.ndarray] = []
+    events, hi, lo, abs_sum = _sum2_table(RecordTable.of(
+        column for partial in nonempty
+        for column in ((partial.times, partial.hi),
+                       (partial.times, partial.lo))))
     carried_bound = np.zeros(events.size, dtype=float)
     for partial in nonempty:
-        columns.append(_sample_arrays(partial.times, partial.hi, events))
-        columns.append(_sample_arrays(partial.times, partial.lo, events))
         carried_bound += _sum2_error_bound(
             partial.n_series,
             _sample_arrays(partial.times, partial.abs_w, events))
-    hi, lo, abs_sum = _sum2_columns(columns)
-    bound = carried_bound + _sum2_error_bound(len(columns), abs_sum)
+    bound = carried_bound + _sum2_error_bound(2 * len(nonempty), abs_sum)
     sums, uncertain = _round_to_nearest(hi, lo, bound)
     if uncertain.any():
         if series_list is None:

@@ -61,7 +61,14 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 import numpy as np
 
 from repro.core.system import RunResult
-from repro.neighborhood.aggregate import combine_partials, sum_series
+from repro.neighborhood.aggregate import (
+    RecordTable,
+    combine_partials,
+    dedup_records,
+    record_keep,
+    sum_series,
+    table_sums,
+)
 from repro.sim.monitor import StepSeries
 from repro.st.rounds import CpStats
 
@@ -254,6 +261,77 @@ def phase_envelope_window(series: StepSeries, start: float, end: float,
     return tuple(envelope.tolist())
 
 
+def rotate_windows(table: RecordTable, offsets: Sequence[float],
+                   start: float, end: float) -> RecordTable:
+    """Cyclically delay every member's ``[start, end)`` window at once.
+
+    Member ``k`` of the returned table is member ``k`` of ``table``
+    rotated by ``offsets[k]``, as :func:`rotate_window` describes it,
+    and :func:`rotate_window` is the one-member call of this function.
+    All members go through one flat pass:
+
+    * every member's segment table (the :func:`_window_segment_table`
+      partition: same boundaries, same values, no arithmetic on either)
+      comes from index arithmetic on the table;
+    * each segment start moves by its member's offset and wraps at
+      ``end``; a segment that straddles ``end`` re-enters at ``start``;
+    * one ``np.lexsort`` keyed on (member, time, value), stable, puts
+      each member's entries in the order its own lexsort would;
+    * :func:`~repro.neighborhood.aggregate.record_keep` replays the
+      record semantics with groups also split where the member changes.
+    """
+    if not end > start:
+        raise ValueError(f"empty window [{start}, {end})")
+    span = end - start
+    n = table.n
+    # np.remainder is Python's float modulo (fmod, then the divisor's sign).
+    shift = np.remainder(np.asarray(offsets, dtype=float), span)
+    if shift.shape != (n,):
+        raise ValueError(f"need {n} offsets, got {shift.size}")
+    owner = table.owners()
+    first = table.first[:-1]
+    # Per member: records at or before start (the one in force there is
+    # the last of them) and records before end.
+    lo = first + np.bincount(owner[table.times <= start], minlength=n)
+    hi = first + np.bincount(owner[table.times < end], minlength=n)
+    count = hi - lo + 1
+    seg_owner = np.repeat(np.arange(n), count)
+    head_at = np.zeros(n, dtype=np.intp)
+    np.cumsum(count[:-1], out=head_at[1:])
+    position = np.arange(seg_owner.size) - head_at[seg_owner]
+    # Segment k > 0 opens at record lo − 1 + k; segment 0 opens at start
+    # with the record in force there (0.0 when there is none).
+    record = lo[seg_owner] - 1 + position
+    body = position > 0
+    inner = position < count[seg_owner] - 1
+    prior = ~body & (record >= first[seg_owner])
+    starts = np.full(seg_owner.size, start)
+    starts[body] = table.times[record[body]]
+    ends = np.full(seg_owner.size, end)
+    ends[inner] = table.times[record[inner] + 1]
+    values = np.zeros(seg_owner.size)
+    held = body | prior
+    values[held] = table.values[record[held]]
+
+    seg_shift = shift[seg_owner]
+    moved = seg_shift != 0.0
+    shifted = starts + seg_shift
+    wrapped = moved & (shifted >= end)
+    split = moved & ~wrapped & (ends + seg_shift > end)
+    entry_times = np.concatenate([
+        np.where(wrapped, shifted - span, np.where(moved, shifted, starts)),
+        np.full(int(split.sum()), start, dtype=float)])
+    entry_values = np.concatenate([values, values[split]])
+    entry_owner = np.concatenate([seg_owner, seg_owner[split]])
+    order = np.lexsort((entry_values, entry_times, entry_owner))
+    entry_times = entry_times[order]
+    entry_values = entry_values[order]
+    entry_owner = entry_owner[order]
+    kept = record_keep(entry_times, entry_values, entry_owner)
+    return RecordTable.of_owned(entry_times[kept], entry_values[kept],
+                                entry_owner[kept], n)
+
+
 def rotate_window(series: StepSeries, offset: float, start: float,
                   end: float, name: Optional[str] = None) -> StepSeries:
     """Cyclically delay the ``[start, end)`` window of ``series``.
@@ -269,32 +347,17 @@ def rotate_window(series: StepSeries, offset: float, start: float,
     own records come back untouched (no float round-trip), which is
     what lets declined plans keep bit-identical realized profiles.
 
-    Vectorized (segment shift, lexsort, record-semantics dedup via
-    :func:`repro.neighborhood.aggregate.dedup_records`).
+    The one-member call of :func:`rotate_windows`.
 
     Caller contract (which epoch grids satisfy by construction): the
     computed ``span`` must be the *exact* real difference ``end − start``
     — true whenever ``start == 0`` or ``end ≤ 2·start`` (Sterbenz) — so
     wrapped record times can never land before ``start``.
     """
-    from repro.neighborhood.aggregate import dedup_records
-    out_name = name if name is not None else series.name
-    span = end - start
-    offset = offset % span
-    starts, ends, values = _window_segment_table(series, start, end)
-    if offset == 0.0:
-        times, kept = dedup_records(starts, values)
-        return StepSeries.from_arrays(out_name, times, kept)
-    new_starts = starts + offset
-    wrapped = new_starts >= end
-    split = ~wrapped & (ends + offset > end)
-    entry_times = np.concatenate([
-        np.where(wrapped, new_starts - span, new_starts),
-        np.full(int(split.sum()), start, dtype=float)])
-    entry_values = np.concatenate([values, values[split]])
-    order = np.lexsort((entry_values, entry_times))
-    times, kept = dedup_records(entry_times[order], entry_values[order])
-    return StepSeries.from_arrays(out_name, times, kept)
+    rotated = rotate_windows(RecordTable.of_series([series]), [offset],
+                             start, end)
+    return StepSeries.from_arrays(name if name is not None else series.name,
+                                  rotated.times, rotated.values)
 
 
 def rotate_series(series: StepSeries, offset: float, horizon: float,
@@ -472,7 +535,14 @@ def negotiate_offsets(home_ids: Sequence[int],
     active, all n items reach all n gateways) — and the number of
     sweeps run.
     """
-    plane = FeederPlane(home_ids, envelopes, shifts)
+    return _negotiate(FeederPlane(home_ids, envelopes, shifts), config)
+
+
+def _negotiate(plane: FeederPlane, config: FeederConfig,
+               ) -> tuple[dict[int, int], CpStats, int]:
+    """:func:`negotiate_offsets`' claim rounds on a freshly published
+    ``plane``, which keeps the negotiated claims — the online loop's cold
+    epochs carry it into the next epoch instead of building it again."""
     n = len(plane.home_ids)
     return _claim_sweeps(plane, plane.home_ids, n * n, config)
 
@@ -517,34 +587,36 @@ def _default_epoch(config: FeederConfig, homes: Iterable["HomeSpec"],
     return max(home.scenario.max_dcp for home in homes)
 
 
-def _guarded_rotate(profiles: Sequence[StepSeries],
-                    offsets: Sequence[float], start: float, end: float,
-                    baseline: StepSeries, guard: bool,
-                    name: str = "feeder",
-                    ) -> tuple[list[StepSeries], StepSeries, bool]:
+def _guarded_rotate(table: RecordTable, offsets: Sequence[float],
+                    start: float, end: float, baseline_peak: float,
+                    guard: bool,
+                    ) -> tuple[RecordTable, Optional[tuple[np.ndarray,
+                                                           np.ndarray]],
+                               bool]:
     """Apply one plan to the ``[start, end)`` window, under the guard.
 
-    Rotates each profile's window by its offset and sums the result.
-    The plan is kept only when some offset is non-zero and — with
-    ``guard`` on — the realized peak of the sum strictly beats
-    ``baseline``'s peak over the window; otherwise every window comes
-    back un-rotated and the sum is ``baseline`` itself.  Returns
-    ``(rotated windows, their sum, applied)``.  Both the full-horizon
-    plans and every online epoch go through here, so neither can raise
-    the peak it coordinates.
+    Rotates every member of ``table`` by its offset in one
+    :func:`rotate_windows` pass and sums the windows exactly
+    (:func:`~repro.neighborhood.aggregate.table_sums`).  The plan is
+    kept only when some offset is non-zero and — with ``guard`` on — the
+    realized peak of the sum strictly beats ``baseline_peak`` (the
+    un-rotated sum's peak over the window); otherwise every window comes
+    back un-rotated, through the same call at zero offsets.  Returns
+    ``(rotated windows, their sum's records, applied)``; the sum is
+    ``None`` when the plan is declined, where it is the baseline's.
+    Both the full-horizon plans and every online epoch go through here,
+    so neither can raise the peak it coordinates.
     """
-    rotated = [rotate_window(profile, offset, start, end)
-               for profile, offset in zip(profiles, offsets)]
-    coordinated = sum_series(rotated, name=name)
     applied = any(offset != 0.0 for offset in offsets)
-    if applied and guard and coordinated.maximum(start, end) \
-            >= baseline.maximum(start, end) - 1e-9:
-        applied = False
-    if not applied:
-        rotated = [rotate_window(profile, 0.0, start, end)
-                   for profile in profiles]
-        coordinated = baseline
-    return rotated, coordinated, applied
+    rotated = rotate_windows(table, offsets, start, end)
+    window_sum = None
+    if applied:
+        window_sum = dedup_records(*table_sums(rotated))
+        if guard and float(window_sum[1].max()) >= baseline_peak - 1e-9:
+            applied = False
+            window_sum = None
+            rotated = rotate_windows(table, [0.0] * table.n, start, end)
+    return rotated, window_sum, applied
 
 
 def _coordinate(profiles: Sequence[StepSeries], horizon: float,
@@ -572,15 +644,19 @@ def _coordinate(profiles: Sequence[StepSeries], horizon: float,
     planned = tuple(claims[index] * bin_s for index in ids)
     if baseline is None:
         baseline = sum_series(list(profiles), name=name)
-    rotated, coordinated, applied = _guarded_rotate(
-        profiles, planned, 0.0, horizon, baseline, config.guard, name)
+    rotated, window_sum, applied = _guarded_rotate(
+        RecordTable.of_series(profiles), planned, 0.0, horizon,
+        baseline.maximum(0.0, horizon), config.guard)
     return FeederCoordination(
         epoch=epoch, bin_s=bin_s,
         planned_offsets_s=planned,
         offsets_s=planned if applied else tuple(0.0 for _ in planned),
         applied=applied, sweeps=sweeps, cp_stats=cp_stats,
-        contributions_w=rotated, independent_w=baseline,
-        coordinated_w=coordinated)
+        contributions_w=rotated.series(
+            [profile.name for profile in profiles]),
+        independent_w=baseline,
+        coordinated_w=(StepSeries.from_arrays(name, *window_sum)
+                       if applied else baseline))
 
 
 def coordinate_profiles(profiles: Sequence[StepSeries], horizon: float,

@@ -20,13 +20,16 @@ The epoch loop (:func:`coordinate_fleet_online`), per epoch:
    (:func:`~repro.neighborhood.coordination.renegotiate_offsets`),
    seeded with the previous epoch's claims — incremental, not
    from-scratch; the first epoch is a cold full negotiation;
-3. **apply + guard** — offsets rotate each home's *realized* window
-   (:func:`~repro.neighborhood.coordination.rotate_window`, energy- and
-   per-home-peak-conserving) through the same rotate-and-guard step the
-   batch plane applies its plan with: the realized-improvement guard
-   re-checks each epoch independently and declines to zero offsets any
-   epoch whose rotated sum does not strictly beat the independent
-   profile — so online coordination never raises any epoch's peak;
+3. **apply + guard** — offsets rotate every home's *realized* window
+   in one flat pass over the fleet's record table
+   (:func:`~repro.neighborhood.coordination.rotate_windows`, energy- and
+   per-home-peak-conserving), and the windows are summed exactly
+   (:func:`~repro.neighborhood.aggregate.table_sums`), through the same
+   rotate-and-guard step the batch plane applies its plan with: the
+   realized-improvement guard re-checks each epoch independently and
+   declines to zero offsets any epoch whose rotated sum does not
+   strictly beat the independent profile — so online coordination
+   never raises any epoch's peak;
 4. **ingest** — the realized window streams into telemetry
    (journalled in a replayable
    :class:`~repro.telemetry.log.TelemetryLog`), becoming history for
@@ -57,12 +60,23 @@ its energy bit-exactly; the feeder-level energy drift is float
 rounding of the summed profiles (exactly 0.0 Wh on the test fleets, a
 few 1e-10 Wh on some 500-home replays).
 
+**Stitching.**  Each epoch keeps its rotated windows and its feeder
+sum as flat records; the whole-horizon series are built once, after
+the loop.  A home's contribution is its windows in epoch order less
+any record that repeats the home's previous value — exactly what
+appending the windows one by one with
+:meth:`~repro.sim.monitor.StepSeries.append` records.  The coordinated
+feeder profile is the epochs' sums joined the same way, with the
+independent profile's window on declined epochs.  Every per-event sum
+is correctly rounded, so summing per epoch gives the same bits as
+summing the stitched contributions over the whole horizon; both
+identities are locked by ``tests/test_online_coordination.py``.
+
 Determinism: the loop consumes only the bit-deterministic per-home
 results in fleet order, forecasters are pure (noise comes from named
-streams keyed on home and window), and stitching uses the scalar-
-equivalent :meth:`~repro.sim.monitor.StepSeries.append` — so online
-runs are bit-identical across jobs counts and shard sizes, locked by
-``tests/test_online_coordination.py``.
+streams keyed on home and window), and the stitch is a pure function
+of the epochs' records — so online runs are bit-identical across jobs
+counts and shard sizes, locked by ``tests/test_online_coordination.py``.
 """
 
 from __future__ import annotations
@@ -70,16 +84,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
+import numpy as np
+
 from repro.api.spec import ForecastPlan
 from repro.core.system import RunResult
-from repro.neighborhood.aggregate import combine_partials, sum_series
+from repro.neighborhood.aggregate import (
+    RecordTable,
+    combine_partials,
+    sum_series,
+)
 from repro.neighborhood.coordination import (
     FeederConfig,
     FeederCoordination,
     FeederPlane,
     _default_epoch,
     _guarded_rotate,
-    negotiate_offsets,
+    _negotiate,
+    _window_segment_table,
     renegotiate_offsets,
     snap_bin,
 )
@@ -227,6 +248,7 @@ def coordinate_fleet_online(fleet: "FleetSpec",
 
     home_ids = [home.home_id for home in fleet.homes]
     profiles = [result.load_w for result in results]
+    table = RecordTable.of_series(profiles)
     realized = dict(zip(home_ids, profiles))
     if partials is not None:
         independent = combine_partials(partials, profiles)
@@ -255,7 +277,10 @@ def coordinate_fleet_online(fleet: "FleetSpec",
     held: dict[int, list[tuple[int, list, list, int]]] = {}
     dropped = delayed = duplicated = stale_served = 0
 
-    contributions = [StepSeries(profile.name) for profile in profiles]
+    #: per epoch, the applied windows and the feeder sum's records
+    #: (one member); stitched into whole-horizon series after the loop
+    epoch_windows: list[RecordTable] = []
+    epoch_sums: list[RecordTable] = []
     plane: Optional[FeederPlane] = None
     previous: dict[int, tuple[float, ...]] = {}
     outcomes: list[EpochOutcome] = []
@@ -299,10 +324,8 @@ def coordinate_fleet_online(fleet: "FleetSpec",
                 forced_zero.add(home_id)
         if plane is None or replan == "cold":
             changed = list(home_ids)
-            claims, stats, sweeps = negotiate_offsets(
-                home_ids, predictions, shifts, config)
-            plane = FeederPlane(home_ids, predictions, shifts,
-                                claims=claims)
+            plane = FeederPlane(home_ids, predictions, shifts)
+            claims, stats, sweeps = _negotiate(plane, config)
         else:
             changed = [home_id for home_id in home_ids
                        if predictions[home_id] != previous[home_id]]
@@ -325,13 +348,19 @@ def coordinate_fleet_online(fleet: "FleetSpec",
         planned = tuple(
             0.0 if home_id in forced_zero else claims[home_id] * bin_s
             for home_id in home_ids)
-        rotated, coordinated_window, applied = _guarded_rotate(
-            profiles, planned, start, end, independent, config.guard)
         independent_peak = independent.maximum(start, end)
-        coordinated_peak = coordinated_window.maximum(start, end)
+        rotated, window_sum, applied = _guarded_rotate(
+            table, planned, start, end, independent_peak, config.guard)
+        if window_sum is None:
+            starts, _ends, values = _window_segment_table(
+                independent, start, end)
+            window_sum = (starts, values)
+            coordinated_peak = independent_peak
+        else:
+            coordinated_peak = float(window_sum[1].max())
+        epoch_windows.append(rotated)
+        epoch_sums.append(RecordTable.of([window_sum]))
         offsets = planned if applied else tuple(0.0 for _ in planned)
-        for series, window in zip(contributions, rotated):
-            series.append(window.times, window.values)
         for home_id in home_ids:
             window = realized[home_id].window(start, end)
             if injector is not None:
@@ -372,8 +401,13 @@ def coordinate_fleet_online(fleet: "FleetSpec",
         last_applied_offsets = offsets
 
     applied_any = any(outcome.applied for outcome in outcomes)
-    coordinated = sum_series(contributions) if applied_any \
-        else independent
+    contributions = _stitch(epoch_windows).series(
+        [profile.name for profile in profiles])
+    coordinated = independent
+    if applied_any:
+        stitched = _stitch(epoch_sums)
+        coordinated = StepSeries.from_arrays("feeder", stitched.times,
+                                             stitched.values)
     return OnlineCoordination(
         epoch=epoch_s, bin_s=bin_s,
         planned_offsets_s=last_planned,
@@ -388,3 +422,23 @@ def coordinate_fleet_online(fleet: "FleetSpec",
         telemetry_dropped=dropped, telemetry_delayed=delayed,
         telemetry_duplicated=duplicated,
         stale_predictions=stale_served)
+
+
+def _stitch(epochs: Sequence[RecordTable]) -> RecordTable:
+    """Per-epoch tables (same members, epochs in time order) joined into
+    one whole-horizon table.
+
+    Each member's entries are its epochs' entries in epoch order, less
+    any entry that repeats the member's previous value — what
+    :meth:`~repro.sim.monitor.StepSeries.append` drops when the epochs
+    arrive one by one.
+    """
+    times = np.concatenate([epoch.times for epoch in epochs])
+    values = np.concatenate([epoch.values for epoch in epochs])
+    owner = np.concatenate([epoch.owners() for epoch in epochs])
+    order = np.argsort(owner, kind="stable")
+    times, values, owner = times[order], values[order], owner[order]
+    keep = np.ones(times.size, dtype=bool)
+    keep[1:] = (values[1:] != values[:-1]) | (owner[1:] != owner[:-1])
+    return RecordTable.of_owned(times[keep], values[keep], owner[keep],
+                                epochs[0].n)

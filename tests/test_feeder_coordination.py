@@ -23,8 +23,14 @@ from repro.neighborhood import (
     renegotiate_offsets,
     phase_envelope,
     rotate_series,
+    rotate_window,
     execute_fleet,
+    sum_series,
 )
+from repro.neighborhood import aggregate
+from repro.neighborhood.aggregate import RecordTable, dedup_records, \
+    table_sums
+from repro.neighborhood.coordination import rotate_windows
 from repro.sim.monitor import StepSeries
 from repro.sim.units import MINUTE
 from repro.st.rounds import CpStats
@@ -272,6 +278,168 @@ def test_envelopes_of_unequal_width_are_refused():
     plane = FeederPlane([0, 1], {0: (1.0, 2.0), 1: (2.0, 1.0)}, 2)
     with pytest.raises(ValueError, match="bins"):
         plane.update_envelope(1, (5.0,))
+
+
+# -- scalar oracles for the batched rotation and the exact sum -----------------
+
+
+def _oracle_rotate(series, offset, start, end):
+    """``rotate_window`` from :meth:`StepSeries.segments` and
+    :meth:`StepSeries.record`, one segment at a time: each segment start
+    moves by the offset and wraps at ``end``, a segment that straddles
+    ``end`` re-enters at ``start``, and the entries are replayed sorted
+    by (time, value) — a stable sort, as the batched lexsort is."""
+    span = end - start
+    offset = offset % span
+    entries, reentries = [], []
+    for seg_start, seg_end, value in series.segments(start, end):
+        if offset == 0.0:
+            entries.append((seg_start, value))
+        elif seg_start + offset >= end:
+            entries.append((seg_start + offset - span, value))
+        else:
+            entries.append((seg_start + offset, value))
+            if seg_end + offset > end:
+                reentries.append((start, value))
+    out = StepSeries(series.name)
+    for time, value in sorted(entries + reentries,
+                              key=lambda entry: (entry[0], entry[1])):
+        out.record(time, value)
+    return out
+
+
+def _oracle_sum(series_list):
+    """Per-event ``math.fsum`` over every member, replayed through
+    :meth:`StepSeries.record`."""
+    out = StepSeries("oracle")
+    for time in sorted({t for series in series_list for t in series.times}):
+        out.record(time, math.fsum(series.at(time)
+                                   for series in series_list))
+    return out
+
+
+def _bits(series):
+    """A series' recordings as raw bytes: signed zeros count."""
+    times, values = series._data()
+    return times.tobytes(), values.tobytes()
+
+
+def _table_member(table, k, name):
+    return StepSeries.from_arrays(name, *table.member(k))
+
+
+#: values the random homes draw from: signed zeros, coarse ratings whose
+#: sums tie and cancel, and fine levels
+_LEVELS = (0.0, -0.0, 500.0, 1000.0, 1500.0, 0.1, 0.2, 0.3, 1e-12,
+           2000.0000000004)
+
+
+def _random_home(rng, name, horizon):
+    """A home on a 5 s grid (times shared across homes, records exactly
+    at window edges), with same-instant overwrites that leave equal
+    adjacent values."""
+    series = StepSeries(name)
+    time = float(rng.choice((0, 5, 10, 40)))
+    while time < horizon + 20.0:
+        value = rng.choice(_LEVELS)
+        if rng.random() < 0.2:
+            series.record(time, series.at(time) + 700.0)
+            series.record(time, series.values[-2]
+                          if len(series) > 1 else value)
+        else:
+            series.record(time, value)
+        time += 5.0 * rng.randint(1, 4)
+    return series
+
+
+def _edge_homes():
+    empty = StepSeries("empty")
+    late = StepSeries("late")  # first record after every window's end
+    late.record(500.0, 900.0)
+    late.record(505.0, 0.0)
+    overwritten = StepSeries("overwritten")  # equal adjacent values
+    overwritten.record(0.0, 300.0)
+    overwritten.record(20.0, 700.0)
+    overwritten.record(20.0, 300.0)
+    overwritten.record(60.0, -0.0)
+    overwritten.record(80.0, 0.0)
+    return [empty, late, overwritten]
+
+
+#: (start, end) windows honouring the exact-span contract
+_WINDOWS = [(0.0, 100.0), (100.0, 200.0), (60.0, 110.0), (40.0, 75.0)]
+
+
+def _offsets(rng, homes, start, end):
+    """Zero, the span, beyond the span, random, and offsets that land a
+    record exactly on ``end``."""
+    span = end - start
+    choices = [0.0, span, 2.5 * span, 3 * span + 5.0, 5.0, span - 5.0]
+    offsets = []
+    for home in homes:
+        inside = [t for t in home.times if start < t < end]
+        pick = rng.random()
+        if inside and pick < 0.3:
+            offsets.append(end - rng.choice(inside))
+        elif pick < 0.8:
+            offsets.append(rng.choice(choices))
+        else:
+            offsets.append(rng.uniform(0.0, 4 * span))
+    return offsets
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("homes", [1, 2, 9])
+def test_rotate_windows_matches_scalar_oracle(seed, homes):
+    rng = random.Random(seed)
+    fleet = [_random_home(rng, f"h{k}", 200.0) for k in range(homes)]
+    if homes > 1:
+        fleet += _edge_homes()
+    table = RecordTable.of_series(fleet)
+    for start, end in _WINDOWS:
+        offsets = _offsets(rng, fleet, start, end)
+        rotated = rotate_windows(table, offsets, start, end)
+        assert rotated.n == len(fleet)
+        for k, (home, offset) in enumerate(zip(fleet, offsets)):
+            expected = _bits(_oracle_rotate(home, offset, start, end))
+            assert _bits(_table_member(rotated, k, home.name)) \
+                == expected, (k, offset, start, end)
+            assert _bits(rotate_window(home, offset, start, end)) \
+                == expected
+        windows = [_table_member(rotated, k, home.name)
+                   for k, home in enumerate(fleet)]
+        events, sums = table_sums(rotated)
+        assert _bits(StepSeries.from_arrays(
+            "sum", *dedup_records(events, sums))) \
+            == _bits(_oracle_sum(windows))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sum_core_matches_fsum_oracle(seed):
+    rng = random.Random(seed)
+    fleet = [_random_home(rng, f"h{k}", 200.0)
+             for k in range(rng.randint(1, 12))] + _edge_homes()
+    assert _bits(sum_series(fleet)) == _bits(_oracle_sum(fleet))
+    assert _bits(sum_series(fleet[:1])) == _bits(_oracle_sum(fleet[:1]))
+    assert len(sum_series([StepSeries("empty")])) == 0
+
+
+def test_sum_core_blocks_carry_each_members_latest_record(monkeypatch):
+    """Blocks of a few events: every member's value carries across the
+    block edges, so the sum is the one-block sum, bit for bit."""
+    rng = random.Random(7)
+    fleet = [_random_home(rng, f"h{k}", 400.0) for k in range(7)]
+    whole = _bits(sum_series(fleet))
+    monkeypatch.setattr(aggregate, "_SUM_BLOCK_CELLS", 20)
+    assert _bits(sum_series(fleet)) == whole == _bits(_oracle_sum(fleet))
+
+
+def test_rotate_windows_refuses_bad_windows_and_offsets():
+    table = RecordTable.of_series([square_wave(), square_wave()])
+    with pytest.raises(ValueError, match="empty window"):
+        rotate_windows(table, [0.0, 0.0], 50.0, 50.0)
+    with pytest.raises(ValueError, match="offsets"):
+        rotate_windows(table, [0.0], 0.0, 100.0)
 
 
 # -- conservation invariants on a real fleet ----------------------------------

@@ -4,7 +4,7 @@ The load-bearing lock of PR 5: sharding, batched frame transport and
 pre-reduced aggregation are *execution strategies*, so every
 ``(shard_size, jobs, coordination)`` combination must produce
 **bit-identical** results — value digests, not approximations.  The
-exact-summation core (`aggregate._exact_row_sums`) is additionally
+exact-summation core (`aggregate.table_sums`) is additionally
 checked against a brute-force ``math.fsum`` reference on randomized
 series.
 """

@@ -36,14 +36,18 @@ from repro.forecast import (
     SeasonalNaiveForecaster,
     make_forecaster,
 )
+from repro.faults import FaultPlan, fault_scope
 from repro.neighborhood import (
     FeederConfig,
+    FeederPlane,
     ForecastConfig,
     build_fleet,
     coordinate_fleet,
     coordinate_fleet_online,
     epoch_grid,
     execute_fleet,
+    rotate_window,
+    sum_series,
 )
 from repro.sim.monitor import StepSeries
 from repro.sim.units import MINUTE
@@ -272,6 +276,91 @@ def test_online_metadata_shape(fleet, results):
     for index, outcome in enumerate(plan.epochs):
         assert outcome.index == index
         assert len(outcome.offsets_s) == fleet.n_homes
+
+
+# -- the end-of-run stitch ----------------------------------------------------
+
+
+def _bits(series):
+    """A series' recordings as raw bytes: signed zeros count."""
+    times, values = series._data()
+    return times.tobytes(), values.tobytes()
+
+
+#: (forecaster, replan, telemetry fault plan) of the stitch runs
+STITCH_RUNS = [
+    ("oracle", "diff", None),
+    ("oracle", "cold", None),
+    ("persistence", "diff", None),
+    ("ewma", "diff", None),
+    ("oracle", "diff", FaultPlan(seed=3, telemetry_drop=0.3,
+                                 telemetry_delay=0.25,
+                                 telemetry_dup=0.25)),
+]
+
+
+@pytest.fixture(scope="module")
+def stitch_plans(fleet, results):
+    plans = []
+    for forecaster, replan, faults in STITCH_RUNS:
+        with fault_scope(faults):
+            plans.append(online(fleet, results, forecaster=forecaster,
+                                replan=replan))
+    return plans
+
+
+def test_stitch_runs_decline_and_apply_epochs(stitch_plans):
+    outcomes = [outcome for plan in stitch_plans for outcome in plan.epochs]
+    assert any(outcome.applied for outcome in outcomes)
+    assert any(not outcome.applied for outcome in outcomes)
+    assert stitch_plans[-1].telemetry_dropped \
+        + stitch_plans[-1].telemetry_delayed > 0
+
+
+@pytest.mark.parametrize("run", range(len(STITCH_RUNS)))
+def test_stitched_feeder_equals_sum_of_contributions(stitch_plans, run):
+    """The per-epoch sums, stitched, are the full-horizon sum of the
+    contributions, bit for bit, declined epochs included."""
+    plan = stitch_plans[run]
+    assert _bits(plan.coordinated_w) == _bits(sum_series(
+        plan.contributions_w))
+
+
+@pytest.mark.parametrize("run", range(len(STITCH_RUNS)))
+def test_stitched_contributions_equal_appended_windows(stitch_plans,
+                                                       results, run):
+    """Each contribution is what appending every epoch's
+    ``rotate_window`` output one epoch at a time records."""
+    plan = stitch_plans[run]
+    for home, (result, contribution) in enumerate(
+            zip(results, plan.contributions_w)):
+        reference = StepSeries(result.load_w.name)
+        for outcome in plan.epochs:
+            window = rotate_window(result.load_w, outcome.offsets_s[home],
+                                   outcome.start_s, outcome.end_s)
+            reference.append(window.times, window.values)
+        assert contribution.name == reference.name
+        assert _bits(contribution) == _bits(reference), home
+
+
+def test_cold_replan_builds_one_claim_plane_per_epoch(fleet, results,
+                                                      monkeypatch):
+    """A cold epoch negotiates on the plane it then carries forward."""
+    expected = online(fleet, results, replan="cold")
+    builds = []
+    original = FeederPlane.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(FeederPlane, "__init__", counting)
+    plan = online(fleet, results, replan="cold")
+    assert len(builds) == plan.n_epochs == 4
+    assert plan.cp_stats == expected.cp_stats
+    assert plan.sweeps == expected.sweeps
+    assert [outcome.offsets_s for outcome in plan.epochs] \
+        == [outcome.offsets_s for outcome in expected.epochs]
 
 
 # -- determinism across execution strategies --------------------------------
