@@ -67,8 +67,9 @@ def test_online_replan_cost(changed):
     Builds one converged 256-home claim plane, perturbs ``changed``
     envelopes, and runs the re-negotiation alone — the exact
     epoch-boundary work of the online loop.  Deliveries are asserted
-    (``sweeps * changed * n``: one updated HomeItem to n gateways per
-    round, only changed homes holding tokens) so the sub-linear claim
+    (``sweeps * changed * n``: one gateway's updated envelope and claim
+    to n gateways per round, only changed homes holding tokens) so the
+    sub-linear claim
     is a measured contract, not a wall-clock accident.
     """
     import numpy as np
@@ -89,7 +90,7 @@ def test_online_replan_cost(changed):
         for home in range(n)}
     config = FeederConfig()
     claims, _stats, _sweeps = negotiate_offsets(
-        list(range(n)), envelopes, bins, config)
+        FeederPlane(list(range(n)), envelopes, bins), config)
     moved = list(range(0, 4 * changed, 4))[:changed]
     perturbed = {
         home: tuple((np.asarray(envelopes[home]) * 1.5).tolist())

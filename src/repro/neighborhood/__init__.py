@@ -10,7 +10,7 @@ Eight modules, one pipeline (see ``docs/architecture.md``):
   per-shard sub-specs, worker-local pre-reduction (:func:`plan_shards`);
 * :mod:`~repro.neighborhood.transport` — one batched series frame per
   shard between workers and the parent;
-* :mod:`~repro.neighborhood.coordination` — the coordination core every
+* :mod:`~repro.neighborhood.coordination` — the coordination loop every
   tier runs (:func:`coordinate_profiles`, :func:`coordinate_fleet`,
   ``docs/coordination.md``);
 * :mod:`~repro.neighborhood.aggregate` — exact feeder summation and
@@ -33,14 +33,13 @@ from repro.neighborhood.aggregate import (
     sum_series,
 )
 from repro.neighborhood.coordination import (
+    EpochOutcome,
     FeederConfig,
     FeederCoordination,
     FeederPlane,
-    HomeItem,
     coordinate_fleet,
     coordinate_profiles,
     negotiate_offsets,
-    phase_envelope,
     phase_envelope_window,
     renegotiate_offsets,
     rotate_series,
@@ -67,7 +66,6 @@ from repro.neighborhood.grid import (
     feeder_seed,
 )
 from repro.neighborhood.online import (
-    EpochOutcome,
     ForecastConfig,
     OnlineCoordination,
     coordinate_fleet_online,
@@ -92,7 +90,6 @@ __all__ = [
     "GRID_COORDINATION_MODES",
     "GridResult",
     "GridSpec",
-    "HomeItem",
     "HomeSpec",
     "NeighborhoodResult",
     "OnlineCoordination",
@@ -112,7 +109,6 @@ __all__ = [
     "home_seed",
     "negotiate_offsets",
     "partial_sum",
-    "phase_envelope",
     "phase_envelope_window",
     "plan_shards",
     "renegotiate_offsets",

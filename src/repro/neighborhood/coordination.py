@@ -12,10 +12,10 @@ homes, in the spirit of distributed neighborhood scheduling
 (arXiv:2011.04338) and online multi-home load coordination
 (arXiv:2304.11770):
 
-* each home's gateway (its smart meter uplink) publishes a compact
-  :class:`HomeItem` — the home's *claimed-burst envelope*, i.e. the
-  per-phase-bin upper bound of its realized Type-2 load — the
-  neighborhood analogue of a :class:`~repro.core.state.CpItem`;
+* each home's gateway (its smart meter uplink) announces the home's
+  *claimed-burst envelope* — the per-phase-bin upper bound of its
+  Type-2 load (:func:`phase_envelope_window`) — the neighborhood
+  analogue of a :class:`~repro.core.state.CpItem`;
 * a decentralized **feeder round** mirrors the in-home CP's loss-free
   all-to-all exchange (:class:`~repro.st.rounds.IdealCP` semantics,
   executed directly at fleet scale — see :class:`FeederPlane`): one
@@ -24,7 +24,7 @@ homes, in the spirit of distributed neighborhood scheduling
   envelope — exactly the in-home scheduler's one-by-one stagger logic,
   one level up;
 * the negotiated offsets are applied by *phase-rotating* each home's
-  realized load profile (:func:`rotate_series`).  The workloads are
+  realized load profile (:func:`rotate_windows`).  The workloads are
   time-homogeneous (Poisson / MMPP / batch arrivals with no
   time-of-day structure), so a cyclic rotation of a home's trajectory
   is a sample path of the phase-shifted home — and rotation preserves
@@ -44,19 +44,23 @@ plan against the realized profiles and falls back to zero offsets
 coincident peak.  The feeder plane is advisory — it never regresses the
 feeder it coordinates.
 
-One core serves every tier: :func:`coordinate_profiles` runs
-negotiate → rotate → sum → guard over any list of profiles — a fleet's
-homes (:func:`coordinate_fleet`) or a grid's feeders (the substation
-tier) — and each epoch of the online loop
-(:func:`repro.neighborhood.online.coordinate_fleet_online`) applies its
-plan through the same rotate-and-guard step.
+One loop serves every tier: :func:`_epoch_loop` runs announce →
+claim → rotate → guard → sum once per window of a list of windows and
+stitches the windows once at the end.  The batch tiers —
+:func:`coordinate_fleet` over a fleet's homes and
+:func:`coordinate_profiles` over a grid's feeders (the substation
+tier) — are its one-window call over the whole horizon, announcing
+the profiles' own envelopes; the online plane
+(:func:`repro.neighborhood.online.coordinate_fleet_online`) runs it
+over the epoch grid, announcing forecast envelopes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import (TYPE_CHECKING, Callable, Collection, Iterable,
+                    Optional, Sequence)
 
 import numpy as np
 
@@ -75,20 +79,13 @@ from repro.st.rounds import CpStats
 if TYPE_CHECKING:  # pragma: no cover
     from repro.neighborhood.fleet import FleetSpec, HomeSpec
 
-#: serialized footprint of a HomeItem header on the wire, bytes
-HOME_ITEM_HEADER_BYTES: int = 10
-#: bytes per quantized envelope bin on the wire
-ENVELOPE_BIN_BYTES: int = 2
-
-
 @dataclass(frozen=True)
 class FeederConfig:
     """Knobs of the feeder collaboration plane.
 
-    Defaults mirror the in-home Communication Plane where a counterpart
-    exists: feeder rounds run every ``period`` (= the paper's 2 s MiniCast
-    period), and the phase ``epoch`` defaults to the fleet's largest
-    ``maxDCP`` — the recurrence period of the bursts being staggered.
+    The phase ``epoch`` defaults to the fleet's largest ``maxDCP`` — the
+    recurrence period of the bursts being staggered, as in the in-home
+    Communication Plane.
     """
 
     #: phase period the offsets live in; None = max home ``maxDCP``
@@ -98,8 +95,6 @@ class FeederConfig:
     bin_s: float = 60.0
     #: maximum full claim sweeps (every gateway claims once per sweep)
     max_sweeps: int = 4
-    #: feeder CP round period, seconds (one claim token per round)
-    period: float = 2.0
     #: re-check the realized feeder peak and refuse a non-improving plan
     guard: bool = True
 
@@ -111,38 +106,6 @@ class FeederConfig:
                 f"max_sweeps must be >= 1, got {self.max_sweeps}")
         if self.epoch is not None and self.epoch <= 0:
             raise ValueError(f"epoch must be > 0, got {self.epoch}")
-
-
-@dataclass(frozen=True)
-class HomeItem:
-    """One home gateway's payload for a feeder CP round.
-
-    The neighborhood analogue of the in-home
-    :class:`~repro.core.state.CpItem`: instead of one device's status plus
-    announcements, a gateway shares its whole home's *aggregate
-    claimed-burst envelope* — the per-bin upper bound of the home's load
-    over the observation window — plus the phase ``shift`` (in bins) it
-    currently claims.  Items are versioned so view merges stay idempotent
-    and order-insensitive, mirroring
-    :meth:`repro.core.state.SharedView.merge_item`.
-    """
-
-    home_id: int
-    version: int
-    #: claimed phase offset, in envelope bins
-    shift: int
-    #: per-bin upper bound of the home's load over the horizon, watts
-    envelope: tuple[float, ...]
-    #: the home's individual peak (max of the envelope), watts
-    peak_w: float
-
-    @property
-    def wire_bytes(self) -> int:
-        """Approximate serialized size (quantized bins), for airtime
-        accounting — the feeder analogue of
-        :attr:`repro.core.state.CpItem.wire_bytes`."""
-        return (HOME_ITEM_HEADER_BYTES
-                + ENVELOPE_BIN_BYTES * len(self.envelope))
 
 
 @dataclass
@@ -174,6 +137,32 @@ class FeederCoordination:
     independent_w: StepSeries
     #: Σ rotated homes — what the feeder carries under coordination
     coordinated_w: StepSeries
+
+
+@dataclass(frozen=True)
+class EpochOutcome:
+    """What one CP epoch of an online run decided and realized."""
+
+    #: epoch index, 0-based
+    index: int
+    #: epoch window ``[start_s, end_s)`` in seconds
+    start_s: float
+    end_s: float
+    #: False when the per-epoch guard declined (offsets forced to zero)
+    applied: bool
+    #: offsets actually applied this epoch (seconds, fleet order)
+    offsets_s: tuple[float, ...]
+    #: homes whose predicted envelope moved (= claim tokens granted)
+    changed_homes: int
+    #: CP rounds this epoch's (re-)negotiation ran
+    cp_rounds: int
+    #: peak of the independent profile inside the window, watts
+    independent_peak_w: float
+    #: realized peak of the (possibly rotated) window as applied, watts
+    coordinated_peak_w: float
+    #: homes served off the degradation ladder this epoch (stale
+    #: telemetry → persistence / last envelope / forced zero offset)
+    stale_homes: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +206,6 @@ def _window_segment_table(series: StepSeries, start: float, end: float,
     seg_values[0] = values[lo - 1] if lo > 0 else 0.0
     seg_values[1:] = values[lo:hi]
     return starts, ends, seg_values
-
-
-def phase_envelope(series: StepSeries, horizon: float,
-                   bin_s: float) -> tuple[float, ...]:
-    """Per-bin upper bound of ``series`` over ``[0, horizon)``: the
-    :func:`phase_envelope_window` starting at 0."""
-    return phase_envelope_window(series, 0.0, horizon, bin_s)
 
 
 def phase_envelope_window(series: StepSeries, start: float, end: float,
@@ -341,11 +323,14 @@ def rotate_window(series: StepSeries, offset: float, start: float,
     ``s(start + ((t − start − offset) mod span))`` with
     ``span = end − start``: the window started ``offset`` later, with
     the displaced tail wrapping to the front (the steady-state reading
-    of a phase shift).  Segment durations and values are permuted,
-    never changed, so the window's energy, time-weighted distribution
-    and peak are preserved exactly; with ``offset == 0`` the window's
-    own records come back untouched (no float round-trip), which is
-    what lets declined plans keep bit-identical realized profiles.
+    of a phase shift).  A ramping fleet is not in steady state, so
+    there the wrap moves real load in time: 41% of a 20-home 60-min
+    suburb fleet's energy wraps.  Segment durations and values are
+    permuted, never changed, so the window's energy, time-weighted
+    distribution and peak are preserved exactly; with ``offset == 0``
+    the window's own records come back untouched (no float round-trip),
+    which is what lets declined plans keep bit-identical realized
+    profiles.
 
     The one-member call of :func:`rotate_windows`.
 
@@ -383,15 +368,13 @@ class FeederPlane:
 
     The rounds used to be driven through
     :class:`~repro.st.rounds.IdealCP` with every gateway re-sharing its
-    full :class:`HomeItem` every round; at fleet scale (N≥500) that
+    envelope and claim every round; at fleet scale (N≥500) that
     all-to-all merge was O(N³) per sweep and dominated the whole run.
     Because IdealCP delivery is loss-free, every gateway's merged view is
     simply "each home's latest claim", so :meth:`reclaim` evolves that
     shared state directly and :func:`negotiate_offsets` accounts the
     identical :class:`~repro.st.rounds.CpStats` the IdealCP rounds
     produced.
-    :class:`HomeItem` remains the wire format the stats meter airtime
-    against.
 
     The shared state is array-backed.  One ``(n+1) × bins`` table holds
     every home's envelope rolled by its current claim, in ``home_ids``
@@ -521,28 +504,19 @@ def _claim_sweeps(plane: FeederPlane, tokens: Sequence[int],
     return dict(plane.claims), stats, sweeps
 
 
-def negotiate_offsets(home_ids: Sequence[int],
-                      envelopes: dict[int, tuple[float, ...]],
-                      shifts: int,
-                      config: FeederConfig,
+def negotiate_offsets(plane: FeederPlane, config: FeederConfig,
                       ) -> tuple[dict[int, int], CpStats, int]:
-    """Run feeder claim rounds from zero claims until they converge.
+    """Run feeder claim rounds on a freshly published ``plane`` until
+    they converge: the cold negotiation.
 
-    Every gateway holds the token once per sweep, in ``home_ids`` order
-    (n rounds to a sweep).  Returns the claimed shifts (bins) per home,
-    the CP round statistics — identical to what driving the plane
+    Every gateway holds the token once per sweep, in ``plane.home_ids``
+    order (n rounds to a sweep).  Returns the claimed shifts (bins) per
+    home, the CP round statistics — identical to what driving the plane
     through :class:`~repro.st.rounds.IdealCP` produced (every round is
     active, all n items reach all n gateways) — and the number of
-    sweeps run.
+    sweeps run.  ``plane`` keeps the negotiated claims, so an online
+    loop carries it into its next epoch's :func:`renegotiate_offsets`.
     """
-    return _negotiate(FeederPlane(home_ids, envelopes, shifts), config)
-
-
-def _negotiate(plane: FeederPlane, config: FeederConfig,
-               ) -> tuple[dict[int, int], CpStats, int]:
-    """:func:`negotiate_offsets`' claim rounds on a freshly published
-    ``plane``, which keeps the negotiated claims — the online loop's cold
-    epochs carry it into the next epoch instead of building it again."""
     n = len(plane.home_ids)
     return _claim_sweeps(plane, plane.home_ids, n * n, config)
 
@@ -563,8 +537,9 @@ def renegotiate_offsets(plane: FeederPlane, changed: Sequence[int],
     ``benchmarks/test_bench_online.py`` measures.
 
     CP accounting matches the incremental wire traffic: each round
-    delivers *one* updated :class:`HomeItem` to the n gateways (``n``
-    deliveries), not the all-to-all re-share of a cold negotiation.
+    delivers *one* gateway's updated envelope and claim to the n
+    gateways (``n`` deliveries), not the all-to-all re-share of a cold
+    negotiation.
     Returns ``(claims, stats, sweeps)`` like :func:`negotiate_offsets`.
     """
     changed_set = set(changed)
@@ -575,7 +550,7 @@ def renegotiate_offsets(plane: FeederPlane, changed: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# the guarded-apply core
+# the coordination loop
 # ---------------------------------------------------------------------------
 
 def _default_epoch(config: FeederConfig, homes: Iterable["HomeSpec"],
@@ -587,36 +562,161 @@ def _default_epoch(config: FeederConfig, homes: Iterable["HomeSpec"],
     return max(home.scenario.max_dcp for home in homes)
 
 
-def _guarded_rotate(table: RecordTable, offsets: Sequence[float],
-                    start: float, end: float, baseline_peak: float,
-                    guard: bool,
-                    ) -> tuple[RecordTable, Optional[tuple[np.ndarray,
-                                                           np.ndarray]],
-                               bool]:
-    """Apply one plan to the ``[start, end)`` window, under the guard.
+#: ``predict(index, start, end)``: see :func:`_epoch_loop`
+_Predict = Callable[[int, float, float],
+                   tuple[dict[int, tuple[float, ...]], Collection[int], int]]
 
-    Rotates every member of ``table`` by its offset in one
-    :func:`rotate_windows` pass and sums the windows exactly
-    (:func:`~repro.neighborhood.aggregate.table_sums`).  The plan is
-    kept only when some offset is non-zero and — with ``guard`` on — the
-    realized peak of the sum strictly beats ``baseline_peak`` (the
-    un-rotated sum's peak over the window); otherwise every window comes
-    back un-rotated, through the same call at zero offsets.  Returns
-    ``(rotated windows, their sum's records, applied)``; the sum is
-    ``None`` when the plan is declined, where it is the baseline's.
-    Both the full-horizon plans and every online epoch go through here,
-    so neither can raise the peak it coordinates.
+
+def _epoch_loop(profiles: Sequence[StepSeries], ids: Sequence[int],
+                independent: StepSeries,
+                windows: Sequence[tuple[float, float]], epoch: float,
+                bin_s: float, shifts: int, config: FeederConfig,
+                predict: _Predict,
+                observe: Optional[Callable[[int, float, float], None]] = None,
+                replan: str = "cold", name: str = "feeder",
+                ) -> tuple[FeederCoordination, tuple[EpochOutcome, ...], int]:
+    """The coordination loop: announce → claim → rotate → guard → sum,
+    once per window, then one stitch.
+
+    Per window ``[start, end)`` of ``windows`` (in time order, tiling
+    the profiles' horizon):
+
+    1. ``predict(index, start, end)`` returns every member's envelope
+       (keyed by id), the members pinned to offset 0, and how many
+       members it served off a degradation ladder.  The first window —
+       and every window under ``replan="cold"`` — publishes the
+       envelopes on a fresh :class:`FeederPlane` and negotiates from
+       zero claims (:func:`negotiate_offsets`); a ``"diff"`` window
+       re-publishes only the members whose envelope moved and gives
+       only them claim tokens (:func:`renegotiate_offsets`);
+    2. pinned members get offset 0, everyone else ``claim × bin_s``;
+    3. every profile's window rotates by its offset in one
+       :func:`rotate_windows` pass and the windows are summed exactly
+       (:func:`~repro.neighborhood.aggregate.table_sums`).  The plan is
+       kept only when some offset is non-zero and — with
+       ``config.guard`` — the sum's peak strictly beats the peak of
+       ``independent`` in the window; otherwise every window comes back
+       un-rotated through the same call, so no window's peak is raised;
+    4. the window's sum is kept — the independent window's records when
+       the plan was declined;
+    5. ``observe(index, start, end)``, if given, runs, and the window's
+       :class:`EpochOutcome` is recorded.
+
+    After the last window each member's contribution is stitched from
+    its windows, and the coordinated profile from the window sums
+    (:func:`_stitch`); with no window applied it is ``independent``
+    itself.  Returns the :class:`FeederCoordination` (``epoch`` as
+    given; planned and applied offsets of the last window), the
+    outcomes, and the number of claim tokens granted.
     """
-    applied = any(offset != 0.0 for offset in offsets)
-    rotated = rotate_windows(table, offsets, start, end)
-    window_sum = None
-    if applied:
-        window_sum = dedup_records(*table_sums(rotated))
-        if guard and float(window_sum[1].max()) >= baseline_peak - 1e-9:
-            applied = False
-            window_sum = None
-            rotated = rotate_windows(table, [0.0] * table.n, start, end)
-    return rotated, window_sum, applied
+    if replan not in ("diff", "cold"):
+        raise ValueError(
+            f"replan must be 'diff' or 'cold', got {replan!r}")
+    table = RecordTable.of_series(profiles)
+    #: per window, the applied windows and the sum's records (one
+    #: member); stitched into whole-horizon series after the loop
+    window_tables: list[RecordTable] = []
+    window_sums: list[RecordTable] = []
+    outcomes: list[EpochOutcome] = []
+    plane: Optional[FeederPlane] = None
+    previous: dict[int, tuple[float, ...]] = {}
+    totals = CpStats()
+    total_sweeps = replanned = 0
+    planned = offsets = tuple(0.0 for _ in ids)
+    for index, (start, end) in enumerate(windows):
+        envelopes, pinned, stale = predict(index, start, end)
+        if plane is None:
+            changed = list(ids)
+            plane = FeederPlane(ids, envelopes, shifts)
+            claims, stats, sweeps = negotiate_offsets(plane, config)
+        else:
+            changed = [member for member in ids
+                       if envelopes[member] != previous[member]]
+            for member in changed:
+                plane.update_envelope(member, envelopes[member])
+            claims, stats, sweeps = renegotiate_offsets(plane, changed,
+                                                        config)
+        if replan == "cold":
+            # Every window negotiates on a fresh plane; dropping this
+            # one now also frees its shift stacks before the apply.
+            plane = None
+        totals.rounds_total += stats.rounds_total
+        totals.rounds_active += stats.rounds_active
+        totals.deliveries += stats.deliveries
+        totals.misses += stats.misses
+        totals.duration_on_air += stats.duration_on_air
+        total_sweeps += sweeps
+        replanned += len(changed)
+
+        # A pinned member holds a claim, but its *applied* offset is 0;
+        # the claims dict itself stays the plane's live state.
+        planned = tuple(
+            0.0 if member in pinned else claims[member] * bin_s
+            for member in ids)
+        independent_peak = independent.maximum(start, end)
+        rotated = rotate_windows(table, planned, start, end)
+        applied = any(offset != 0.0 for offset in planned)
+        if applied:
+            window_sum = dedup_records(*table_sums(rotated))
+            coordinated_peak = float(window_sum[1].max())
+            if config.guard \
+                    and coordinated_peak >= independent_peak - 1e-9:
+                applied = False
+                rotated = rotate_windows(table, [0.0] * table.n, start,
+                                         end)
+        if not applied:
+            starts, _ends, values = _window_segment_table(
+                independent, start, end)
+            window_sum = (starts, values)
+            coordinated_peak = independent_peak
+        window_tables.append(rotated)
+        window_sums.append(RecordTable.of([window_sum]))
+        offsets = planned if applied else tuple(0.0 for _ in planned)
+        if observe is not None:
+            observe(index, start, end)
+        outcomes.append(EpochOutcome(
+            index=index, start_s=start, end_s=end, applied=applied,
+            offsets_s=offsets, changed_homes=len(changed),
+            cp_rounds=stats.rounds_total,
+            independent_peak_w=independent_peak,
+            coordinated_peak_w=coordinated_peak,
+            stale_homes=stale))
+        previous = envelopes
+
+    applied_any = any(outcome.applied for outcome in outcomes)
+    coordinated = independent
+    if applied_any:
+        stitched = _stitch(window_sums)
+        coordinated = StepSeries.from_arrays(name, stitched.times,
+                                             stitched.values)
+    plan = FeederCoordination(
+        epoch=epoch, bin_s=bin_s,
+        planned_offsets_s=planned, offsets_s=offsets,
+        applied=applied_any, sweeps=total_sweeps, cp_stats=totals,
+        contributions_w=_stitch(window_tables).series(
+            [profile.name for profile in profiles]),
+        independent_w=independent, coordinated_w=coordinated)
+    return plan, tuple(outcomes), replanned
+
+
+def _stitch(windows: Sequence[RecordTable]) -> RecordTable:
+    """Per-window tables (same members, windows in time order) joined
+    into one whole-horizon table.
+
+    Each member's entries are its windows' entries in window order,
+    less any entry that repeats the member's previous value — what
+    :meth:`~repro.sim.monitor.StepSeries.append` drops when the windows
+    arrive one by one.
+    """
+    times = np.concatenate([window.times for window in windows])
+    values = np.concatenate([window.values for window in windows])
+    owner = np.concatenate([window.owners() for window in windows])
+    order = np.argsort(owner, kind="stable")
+    times, values, owner = times[order], values[order], owner[order]
+    keep = np.ones(times.size, dtype=bool)
+    keep[1:] = (values[1:] != values[:-1]) | (owner[1:] != owner[:-1])
+    return RecordTable.of_owned(times[keep], values[keep], owner[keep],
+                                windows[0].n)
 
 
 def _coordinate(profiles: Sequence[StepSeries], horizon: float,
@@ -624,7 +724,9 @@ def _coordinate(profiles: Sequence[StepSeries], horizon: float,
                 envelopes: Optional[Sequence[tuple[float, ...]]] = None,
                 baseline: Optional[StepSeries] = None,
                 ) -> FeederCoordination:
-    """negotiate → rotate → sum → guard over whole-horizon profiles.
+    """The batch tiers: :func:`_epoch_loop`'s one-window call over the
+    whole horizon ``[0, horizon)``, announcing each profile's own
+    envelope with offsets bounded by ``min(epoch, horizon)``.
 
     ``envelopes`` (per profile, at :func:`snap_bin`'s width) and
     ``baseline`` (the profiles' sum) may come precomputed; both are pure
@@ -634,29 +736,18 @@ def _coordinate(profiles: Sequence[StepSeries], horizon: float,
         raise ValueError("need at least one profile to coordinate")
     epoch = min(epoch, horizon)
     bin_s = snap_bin(horizon, config.bin_s)
-    shifts = max(int(epoch / bin_s + 1e-9), 1)
     ids = list(range(len(profiles)))
     if envelopes is None:
-        envelopes = [phase_envelope(profile, horizon, bin_s)
+        envelopes = [phase_envelope_window(profile, 0.0, horizon, bin_s)
                      for profile in profiles]
-    claims, cp_stats, sweeps = negotiate_offsets(
-        ids, dict(zip(ids, envelopes)), shifts, config)
-    planned = tuple(claims[index] * bin_s for index in ids)
+    announced = (dict(zip(ids, envelopes)), (), 0)
     if baseline is None:
         baseline = sum_series(list(profiles), name=name)
-    rotated, window_sum, applied = _guarded_rotate(
-        RecordTable.of_series(profiles), planned, 0.0, horizon,
-        baseline.maximum(0.0, horizon), config.guard)
-    return FeederCoordination(
-        epoch=epoch, bin_s=bin_s,
-        planned_offsets_s=planned,
-        offsets_s=planned if applied else tuple(0.0 for _ in planned),
-        applied=applied, sweeps=sweeps, cp_stats=cp_stats,
-        contributions_w=rotated.series(
-            [profile.name for profile in profiles]),
-        independent_w=baseline,
-        coordinated_w=(StepSeries.from_arrays(name, *window_sum)
-                       if applied else baseline))
+    plan, _outcomes, _replanned = _epoch_loop(
+        profiles, ids, baseline, [(0.0, horizon)], epoch, bin_s,
+        max(int(epoch / bin_s + 1e-9), 1), config,
+        lambda _index, _start, _end: announced, name=name)
+    return plan
 
 
 def coordinate_profiles(profiles: Sequence[StepSeries], horizon: float,
@@ -665,10 +756,11 @@ def coordinate_profiles(profiles: Sequence[StepSeries], horizon: float,
                         name: str = "substation") -> FeederCoordination:
     """Negotiate and apply phase offsets between load profiles.
 
-    The one coordination core every full-horizon tier runs: each
-    profile is compressed to its :func:`phase_envelope`, round-robin
+    The one-window call of the coordination loop every full-horizon
+    tier runs: each profile is compressed to its
+    :func:`phase_envelope_window` over ``[0, horizon)``, round-robin
     claim rounds (:func:`negotiate_offsets`) pick per-profile offsets,
-    and offsets apply as :func:`rotate_series` — conserving each
+    and offsets apply as :func:`rotate_windows` — conserving each
     profile's energy and individual peak exactly.  The
     realized-improvement guard re-checks the rotated sum against the
     un-rotated baseline and declines (zero offsets, ``applied=False``)
@@ -709,7 +801,7 @@ def coordinate_fleet(fleet: "FleetSpec", results: Sequence[RunResult],
     of the run — let the independent baseline fold from S shard columns
     instead of N homes; ``envelopes`` — per-home phase envelopes (fleet
     order) the shard workers pre-reduced at :func:`snap_bin`'s width —
-    skip the parent-side :func:`phase_envelope` pass.  Both are
+    skip the parent-side :func:`phase_envelope_window` pass.  Both are
     bit-identical to computing them here.
     """
     if config is None:

@@ -16,7 +16,7 @@ coordination pass:
    parent never recomputes per-home envelopes.
 2. **Substation tier** — the *feeder-level* profiles become the unit
    that flows up the tree (per arXiv:2304.11770's aggregate-envelope
-   evaluation): the same coordination core
+   evaluation): the same coordination loop
    (:func:`repro.neighborhood.coordination.coordinate_profiles`) runs
    over feeder profiles instead of homes — envelopes, claim rounds,
    energy/peak-conserving rotation and the realized-improvement guard.

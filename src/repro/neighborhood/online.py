@@ -1,37 +1,38 @@
 """Online per-epoch coordination against predicted envelopes.
 
-The batch feeder plane (:func:`~repro.neighborhood.coordination
-.coordinate_fleet`) negotiates once, *post hoc*, over realized
-profiles.  This module is the production shape of the same plane
-(ROADMAP open item 2, after arXiv:2304.11770's epoch-replanning online
-HEMS): the horizon is tiled into CP epochs, and at each epoch start the
-gateways re-negotiate phase offsets against **predicted** envelopes
-from a :mod:`repro.forecast` forecaster fed by the
-:mod:`repro.telemetry` stream of everything realized so far.
+The feeder plane runs one coordination loop
+(:func:`repro.neighborhood.coordination._epoch_loop`); the batch tiers
+are its one-window call, over realized profiles, *post hoc*.  This
+module is the loop's online envelope source, after arXiv:2304.11770's
+epoch-replanning online HEMS: the horizon is tiled into CP epochs, and
+at each epoch start the gateways re-negotiate phase offsets against
+**predicted** envelopes from a :mod:`repro.forecast` forecaster fed by
+the :mod:`repro.telemetry` stream of everything realized so far.
 
-The epoch loop (:func:`coordinate_fleet_online`), per epoch:
+:func:`coordinate_fleet_online` runs the loop over the epoch grid, per
+epoch:
 
-1. **predict** — every home's forecaster emits its envelope for the
-   upcoming window from telemetry strictly *before* the window (the
-   oracle alone may peek, by design — it is the zero-error ceiling);
-2. **diff + renegotiate** — homes whose predicted envelope moved
-   re-publish (:meth:`~repro.neighborhood.coordination.FeederPlane
+1. **predict** (this module) — every home's forecaster emits its
+   envelope for the upcoming window from telemetry strictly *before*
+   the window (the oracle alone may peek, by design — it is the
+   zero-error ceiling);
+2. **diff + renegotiate** (the loop) — homes whose predicted envelope
+   moved re-publish (:meth:`~repro.neighborhood.coordination.FeederPlane
    .update_envelope`) and only they take claim tokens
    (:func:`~repro.neighborhood.coordination.renegotiate_offsets`),
    seeded with the previous epoch's claims — incremental, not
    from-scratch; the first epoch is a cold full negotiation;
-3. **apply + guard** — offsets rotate every home's *realized* window
-   in one flat pass over the fleet's record table
+3. **apply + guard** (the loop) — offsets rotate every home's
+   *realized* window in one flat pass over the fleet's record table
    (:func:`~repro.neighborhood.coordination.rotate_windows`, energy- and
    per-home-peak-conserving), and the windows are summed exactly
-   (:func:`~repro.neighborhood.aggregate.table_sums`), through the same
-   rotate-and-guard step the batch plane applies its plan with: the
+   (:func:`~repro.neighborhood.aggregate.table_sums`): the
    realized-improvement guard re-checks each epoch independently and
    declines to zero offsets any epoch whose rotated sum does not
    strictly beat the independent profile — so online coordination
    never raises any epoch's peak;
-4. **ingest** — the realized window streams into telemetry
-   (journalled in a replayable
+4. **ingest** (this module, the loop's ``observe`` hook) — the
+   realized window streams into telemetry (journalled in a replayable
    :class:`~repro.telemetry.log.TelemetryLog`), becoming history for
    the next epoch's predictions.
 
@@ -60,11 +61,11 @@ its energy bit-exactly; the feeder-level energy drift is float
 rounding of the summed profiles (exactly 0.0 Wh on the test fleets, a
 few 1e-10 Wh on some 500-home replays).
 
-**Stitching.**  Each epoch keeps its rotated windows and its feeder
-sum as flat records; the whole-horizon series are built once, after
-the loop.  A home's contribution is its windows in epoch order less
-any record that repeats the home's previous value — exactly what
-appending the windows one by one with
+**Stitching.**  The loop keeps each epoch's rotated windows and its
+feeder sum as flat records and builds the whole-horizon series once,
+after the last epoch.  A home's contribution is its windows in epoch
+order less any record that repeats the home's previous value — exactly
+what appending the windows one by one with
 :meth:`~repro.sim.monitor.StepSeries.append` records.  The coordinated
 feeder profile is the epochs' sums joined the same way, with the
 independent profile's window on declined epochs.  Every per-event sum
@@ -84,28 +85,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
 from repro.api.spec import ForecastPlan
 from repro.core.system import RunResult
-from repro.neighborhood.aggregate import (
-    RecordTable,
-    combine_partials,
-    sum_series,
-)
+from repro.neighborhood.aggregate import combine_partials, sum_series
 from repro.neighborhood.coordination import (
+    EpochOutcome,
     FeederConfig,
     FeederCoordination,
-    FeederPlane,
     _default_epoch,
-    _guarded_rotate,
-    _negotiate,
-    _window_segment_table,
-    renegotiate_offsets,
+    _epoch_loop,
     snap_bin,
 )
-from repro.sim.monitor import StepSeries
-from repro.st.rounds import CpStats
 from repro.telemetry import TelemetryIngest
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -116,32 +106,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: spec API's :class:`~repro.api.spec.ForecastPlan` itself, defaulting
 #: to the oracle with no noise — the uplift-ceiling configuration.
 ForecastConfig = ForecastPlan
-
-
-@dataclass(frozen=True)
-class EpochOutcome:
-    """What one CP epoch of an online run decided and realized."""
-
-    #: epoch index, 0-based
-    index: int
-    #: epoch window ``[start_s, end_s)`` in seconds
-    start_s: float
-    end_s: float
-    #: False when the per-epoch guard declined (offsets forced to zero)
-    applied: bool
-    #: offsets actually applied this epoch (seconds, fleet order)
-    offsets_s: tuple[float, ...]
-    #: homes whose predicted envelope moved (= claim tokens granted)
-    changed_homes: int
-    #: CP rounds this epoch's (re-)negotiation ran
-    cp_rounds: int
-    #: peak of the independent profile inside the window, watts
-    independent_peak_w: float
-    #: realized peak of the (possibly rotated) window as applied, watts
-    coordinated_peak_w: float
-    #: homes served off the degradation ladder this epoch (stale
-    #: telemetry → persistence / last envelope / forced zero offset)
-    stale_homes: int = 0
 
 
 @dataclass
@@ -232,9 +196,6 @@ def coordinate_fleet_online(fleet: "FleetSpec",
         config = FeederConfig()
     if forecast is None:
         forecast = ForecastConfig()
-    if replan not in ("diff", "cold"):
-        raise ValueError(
-            f"replan must be 'diff' or 'cold', got {replan!r}")
     if len(results) != fleet.n_homes:
         raise ValueError(
             f"fleet has {fleet.n_homes} homes but got {len(results)} "
@@ -244,11 +205,9 @@ def coordinate_fleet_online(fleet: "FleetSpec",
     epoch_s = horizon / len(windows)
     bin_s = snap_bin(epoch_s, config.bin_s)
     bins = max(int(round(epoch_s / bin_s)), 1)
-    shifts = bins
 
     home_ids = [home.home_id for home in fleet.homes]
     profiles = [result.load_w for result in results]
-    table = RecordTable.of_series(profiles)
     realized = dict(zip(home_ids, profiles))
     if partials is not None:
         independent = combine_partials(partials, profiles)
@@ -275,22 +234,12 @@ def coordinate_fleet_online(fleet: "FleetSpec",
     #: delayed batches awaiting delivery: target epoch -> batches of
     #: ``(home_id, times, values, source_epoch)``
     held: dict[int, list[tuple[int, list, list, int]]] = {}
-    dropped = delayed = duplicated = stale_served = 0
+    #: the previous epoch's committed envelopes (ladder step 2)
+    committed: dict[int, tuple[float, ...]] = {}
+    dropped = delayed = duplicated = 0
 
-    #: per epoch, the applied windows and the feeder sum's records
-    #: (one member); stitched into whole-horizon series after the loop
-    epoch_windows: list[RecordTable] = []
-    epoch_sums: list[RecordTable] = []
-    plane: Optional[FeederPlane] = None
-    previous: dict[int, tuple[float, ...]] = {}
-    outcomes: list[EpochOutcome] = []
-    totals = CpStats()
-    total_sweeps = 0
-    replanned = 0
-    last_planned: tuple[float, ...] = tuple(0.0 for _ in home_ids)
-    last_applied_offsets: tuple[float, ...] = last_planned
-
-    for index, (start, end) in enumerate(windows):
+    def predict(index: int, start: float, end: float):
+        nonlocal committed
         # Deliver any batches whose injected delay expires this epoch
         # *before* predicting — a recovered home predicts from real
         # (late) telemetry again instead of riding the ladder.
@@ -300,7 +249,7 @@ def coordinate_fleet_online(fleet: "FleetSpec",
                 latest_ingested.get(home_id, -1), source)
         predictions = {}
         forced_zero: set[int] = set()
-        epoch_stale = 0
+        stale_homes = 0
         for home_id in home_ids:
             stale = index > 0 and \
                 latest_ingested.get(home_id, -1) < index - 1
@@ -311,56 +260,23 @@ def coordinate_fleet_online(fleet: "FleetSpec",
                 continue
             # Degradation ladder: persistence over whatever telemetry
             # exists, else the last committed envelope, else a zero
-            # envelope with the claim pinned to offset 0.
-            epoch_stale += 1
+            # envelope with the claim pinned to offset 0 — never rotate
+            # a home the plane knows nothing about.
+            stale_homes += 1
             if len(telemetry.series(home_id)):
                 predictions[home_id] = fallback.predict(
                     home_id, telemetry.series(home_id), start, end,
                     bin_s, bins)
-            elif home_id in previous:
-                predictions[home_id] = previous[home_id]
+            elif home_id in committed:
+                predictions[home_id] = committed[home_id]
             else:
                 predictions[home_id] = tuple(0.0 for _ in range(bins))
                 forced_zero.add(home_id)
-        if plane is None or replan == "cold":
-            changed = list(home_ids)
-            plane = FeederPlane(home_ids, predictions, shifts)
-            claims, stats, sweeps = _negotiate(plane, config)
-        else:
-            changed = [home_id for home_id in home_ids
-                       if predictions[home_id] != previous[home_id]]
-            for home_id in changed:
-                plane.update_envelope(home_id, predictions[home_id])
-            claims, stats, sweeps = renegotiate_offsets(plane, changed,
-                                                        config)
-        totals.rounds_total += stats.rounds_total
-        totals.rounds_active += stats.rounds_active
-        totals.deliveries += stats.deliveries
-        totals.misses += stats.misses
-        totals.duration_on_air += stats.duration_on_air
-        total_sweeps += sweeps
-        replanned += len(changed)
+        committed = predictions
+        return predictions, forced_zero, stale_homes
 
-        # Ladder step 3: a home negotiating on a zero envelope holds a
-        # claim, but its *applied* offset is pinned to 0 — never rotate
-        # a home the plane knows nothing about.  The claims dict itself
-        # stays untouched (it is the plane's live negotiation state).
-        planned = tuple(
-            0.0 if home_id in forced_zero else claims[home_id] * bin_s
-            for home_id in home_ids)
-        independent_peak = independent.maximum(start, end)
-        rotated, window_sum, applied = _guarded_rotate(
-            table, planned, start, end, independent_peak, config.guard)
-        if window_sum is None:
-            starts, _ends, values = _window_segment_table(
-                independent, start, end)
-            window_sum = (starts, values)
-            coordinated_peak = independent_peak
-        else:
-            coordinated_peak = float(window_sum[1].max())
-        epoch_windows.append(rotated)
-        epoch_sums.append(RecordTable.of([window_sum]))
-        offsets = planned if applied else tuple(0.0 for _ in planned)
+    def observe(index: int, start: float, end: float) -> None:
+        nonlocal dropped, delayed, duplicated
         for home_id in home_ids:
             window = realized[home_id].window(start, end)
             if injector is not None:
@@ -388,57 +304,16 @@ def coordinate_fleet_online(fleet: "FleetSpec",
                 telemetry.log.extend(home_id, window.times,
                                      window.values)
                 duplicated += 1
-        stale_served += epoch_stale
-        outcomes.append(EpochOutcome(
-            index=index, start_s=start, end_s=end, applied=applied,
-            offsets_s=offsets, changed_homes=len(changed),
-            cp_rounds=stats.rounds_total,
-            independent_peak_w=independent_peak,
-            coordinated_peak_w=coordinated_peak,
-            stale_homes=epoch_stale))
-        previous = predictions
-        last_planned = planned
-        last_applied_offsets = offsets
 
-    applied_any = any(outcome.applied for outcome in outcomes)
-    contributions = _stitch(epoch_windows).series(
-        [profile.name for profile in profiles])
-    coordinated = independent
-    if applied_any:
-        stitched = _stitch(epoch_sums)
-        coordinated = StepSeries.from_arrays("feeder", stitched.times,
-                                             stitched.values)
+    plan, outcomes, replanned = _epoch_loop(
+        profiles, home_ids, independent, windows, epoch_s, bin_s, bins,
+        config, predict, observe, replan)
     return OnlineCoordination(
-        epoch=epoch_s, bin_s=bin_s,
-        planned_offsets_s=last_planned,
-        offsets_s=last_applied_offsets,
-        applied=applied_any, sweeps=total_sweeps, cp_stats=totals,
-        contributions_w=contributions, independent_w=independent,
-        coordinated_w=coordinated,
-        epochs=tuple(outcomes), forecaster=forecast.forecaster,
+        **vars(plan),
+        epochs=outcomes, forecaster=forecast.forecaster,
         replanned_homes=replanned,
         telemetry_digest=telemetry.log.digest(),
         telemetry_events=len(telemetry.log),
         telemetry_dropped=dropped, telemetry_delayed=delayed,
         telemetry_duplicated=duplicated,
-        stale_predictions=stale_served)
-
-
-def _stitch(epochs: Sequence[RecordTable]) -> RecordTable:
-    """Per-epoch tables (same members, epochs in time order) joined into
-    one whole-horizon table.
-
-    Each member's entries are its epochs' entries in epoch order, less
-    any entry that repeats the member's previous value — what
-    :meth:`~repro.sim.monitor.StepSeries.append` drops when the epochs
-    arrive one by one.
-    """
-    times = np.concatenate([epoch.times for epoch in epochs])
-    values = np.concatenate([epoch.values for epoch in epochs])
-    owner = np.concatenate([epoch.owners() for epoch in epochs])
-    order = np.argsort(owner, kind="stable")
-    times, values, owner = times[order], values[order], owner[order]
-    keep = np.ones(times.size, dtype=bool)
-    keep[1:] = (values[1:] != values[:-1]) | (owner[1:] != owner[:-1])
-    return RecordTable.of_owned(times[keep], values[keep], owner[keep],
-                                epochs[0].n)
+        stale_predictions=sum(outcome.stale_homes for outcome in outcomes))

@@ -64,9 +64,10 @@ class ShardSpec:
     horizon: float
     framed: bool = False
     #: when set, the worker also pre-reduces each home's
-    #: :func:`~repro.neighborhood.coordination.phase_envelope` at this
-    #: (already snapped — see ``snap_bin``) bin width, so the parent's
-    #: coordination plane never touches raw per-home series
+    #: :func:`~repro.neighborhood.coordination.phase_envelope_window`
+    #: over ``[0, horizon)`` at this (already snapped — see
+    #: ``snap_bin``) bin width, so the parent's coordination plane never
+    #: touches raw per-home series
     envelope_bin_s: Optional[float] = None
 
 
@@ -122,9 +123,9 @@ def plan_shards(fleet: FleetSpec, until: Optional[float] = None,
     see :func:`repro.neighborhood.coordination.snap_bin`) asks the shard
     workers to pre-reduce each home's phase envelope locally, so a
     coordinating parent aggregates S envelope batches instead of
-    touching N raw series; :func:`phase_envelope
-    <repro.neighborhood.coordination.phase_envelope>` is pure, so the
-    result is bit-identical to computing them parent-side.
+    touching N raw series; :func:`phase_envelope_window
+    <repro.neighborhood.coordination.phase_envelope_window>` is pure,
+    so the result is bit-identical to computing them parent-side.
 
     ``horizon`` is the window the shard workers pre-reduce stats and
     envelopes over (default: ``until``, else the fleet's own horizon);
@@ -172,9 +173,10 @@ def _execute_shard(spec: ShardSpec) -> tuple:
                  for result in results]
         envelopes = None
         if spec.envelope_bin_s is not None:
-            from repro.neighborhood.coordination import phase_envelope
-            envelopes = [phase_envelope(one, spec.horizon,
-                                        spec.envelope_bin_s)
+            from repro.neighborhood.coordination import (
+                phase_envelope_window)
+            envelopes = [phase_envelope_window(one, 0.0, spec.horizon,
+                                               spec.envelope_bin_s)
                          for one in series]
         frame = None
         if spec.framed:

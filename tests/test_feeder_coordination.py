@@ -18,10 +18,14 @@ import pytest
 from repro.neighborhood import (
     FeederConfig,
     FeederPlane,
+    ForecastConfig,
     build_fleet,
+    coordinate_fleet,
+    coordinate_fleet_online,
+    coordinate_profiles,
     negotiate_offsets,
     renegotiate_offsets,
-    phase_envelope,
+    phase_envelope_window,
     rotate_series,
     rotate_window,
     execute_fleet,
@@ -112,7 +116,7 @@ def test_rotation_shifts_values():
 
 def test_phase_envelope_upper_bounds_the_series():
     series = square_wave(period=13.0, duty=0.31)
-    envelope = phase_envelope(series, horizon=100.0, bin_s=6.0)
+    envelope = phase_envelope_window(series, 0.0, 100.0, bin_s=6.0)
     assert len(envelope) == math.ceil(100.0 / 6.0)
     for i, value in enumerate(envelope):
         for t in (i * 6.0, i * 6.0 + 3.0, i * 6.0 + 5.9):
@@ -126,7 +130,7 @@ def test_phase_envelope_tight_on_aligned_series():
     series.record(10.0, 0.0)
     series.record(20.0, 800.0)
     series.record(30.0, 0.0)
-    assert phase_envelope(series, horizon=40.0, bin_s=10.0) \
+    assert phase_envelope_window(series, 0.0, 40.0, bin_s=10.0) \
         == (500.0, 0.0, 800.0, 0.0)
 
 
@@ -137,7 +141,7 @@ def test_negotiation_staggers_identical_homes():
     """Two same-phase square homes end up in disjoint phases."""
     env = (1000.0, 1000.0, 0.0, 0.0)  # half-duty, aligned
     claims, stats, sweeps = negotiate_offsets(
-        [0, 1], {0: env, 1: env}, shifts=4, config=FeederConfig())
+        FeederPlane([0, 1], {0: env, 1: env}, shifts=4), FeederConfig())
     assert sorted(claims) == [0, 1]
     assert abs(claims[0] - claims[1]) == 2  # opposite phases
     assert stats.rounds_total >= 2
@@ -148,8 +152,8 @@ def test_negotiation_converges_and_stops():
     env_a = (900.0, 0.0, 0.0, 900.0)
     env_b = (0.0, 700.0, 700.0, 0.0)
     claims, _stats, sweeps = negotiate_offsets(
-        [0, 1], {0: env_a, 1: env_b}, shifts=4,
-        config=FeederConfig(max_sweeps=6))
+        FeederPlane([0, 1], {0: env_a, 1: env_b}, shifts=4),
+        FeederConfig(max_sweeps=6))
     # Already perfectly staggered: nobody should move, and the plane
     # should notice within two sweeps.
     assert claims == {0: 0, 1: 0}
@@ -247,8 +251,8 @@ def test_claim_rounds_match_brute_force_oracle(seed, homes, bins, shifts,
     config = FeederConfig(max_sweeps=5)
     envelopes = _random_envelopes(rng, home_ids, bins, levels)
     zero = {home: 0 for home in home_ids}
-    claims, stats, sweeps = negotiate_offsets(home_ids, envelopes, shifts,
-                                              config)
+    claims, stats, sweeps = negotiate_offsets(
+        FeederPlane(home_ids, envelopes, shifts), config)
     assert (claims, stats, sweeps) == _oracle_sweeps(
         home_ids, envelopes, zero, shifts, home_ids, homes * homes,
         config.max_sweeps)
@@ -552,3 +556,38 @@ def test_single_home_fleet_is_a_noop():
     assert result.feeder_w.times == plan.independent_w.times
     assert result.feeder_w.values == plan.independent_w.values
     assert result.comparison().diversity_uplift == pytest.approx(1.0)
+
+
+# -- one loop: the batch tiers are its one-window call -------------------------
+
+
+def _plan_bits(plan):
+    """Everything a plan decided and realized, as comparable bytes."""
+    return (plan.planned_offsets_s, plan.offsets_s, plan.applied,
+            plan.sweeps, plan.cp_stats, plan.bin_s,
+            _bits(plan.coordinated_w),
+            [_bits(series) for series in plan.contributions_w])
+
+
+@pytest.mark.parametrize("homes,minutes", [(12, 60), (30, 30), (1, 30)])
+def test_batch_tiers_equal_one_epoch_cold_oracle(homes, minutes):
+    """With the phase period at the horizon, the feeder tier, the
+    substation tier over the same profiles and a one-epoch cold oracle
+    online run are one loop: offsets, sweeps, CP stats and every
+    contribution match bit for bit.  The 1-home fleet is the declined
+    case."""
+    horizon = minutes * MINUTE
+    fleet = build_fleet(homes, mix="suburb", seed=3, cp_fidelity="ideal",
+                        horizon=horizon)
+    results = execute_fleet(fleet, until=horizon).homes
+    config = FeederConfig(epoch=horizon)
+    feeder = coordinate_fleet(fleet, results, horizon, config=config)
+    substation = coordinate_profiles(
+        [result.load_w for result in results], horizon, config=config)
+    online = coordinate_fleet_online(
+        fleet, results, horizon, config=config,
+        forecast=ForecastConfig(forecaster="oracle"), replan="cold")
+    assert online.n_epochs == 1
+    assert feeder.applied == (homes > 1)
+    assert _plan_bits(feeder) == _plan_bits(substation) \
+        == _plan_bits(online)
