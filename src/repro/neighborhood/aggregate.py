@@ -466,7 +466,7 @@ class FeederComparison:
 
     Both sides describe the *same* homes over the same window; the
     coordinated side only re-phases them (see
-    :func:`repro.neighborhood.coordination.rotate_series`), so per-home
+    :func:`repro.neighborhood.coordination.rotate_windows`), so per-home
     peaks and energies are identical by construction and every difference
     below is pure cross-home staggering.
     """

@@ -59,8 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Collection, Iterable,
-                    Optional, Sequence)
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -161,7 +160,7 @@ class EpochOutcome:
     #: realized peak of the (possibly rotated) window as applied, watts
     coordinated_peak_w: float
     #: homes served off the degradation ladder this epoch (stale
-    #: telemetry → persistence / last envelope / forced zero offset)
+    #: telemetry → persistence / last committed envelope)
     stale_homes: int = 0
 
 
@@ -182,30 +181,6 @@ def snap_bin(horizon: float, bin_s: float) -> float:
     """
     n_bins = max(int(round(horizon / bin_s)), 1)
     return horizon / n_bins
-
-
-def _window_segment_table(series: StepSeries, start: float, end: float,
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(starts, ends, values)`` arrays partitioning ``[start, end)``.
-
-    The vectorized twin of :meth:`~repro.sim.monitor.StepSeries.segments`
-    (same boundaries, same values, no arithmetic on either) — envelopes
-    and rotations must agree with the statistics' decomposition bit for
-    bit.
-    """
-    times, values = series._data()
-    lo = int(np.searchsorted(times, start, side="right"))
-    hi = int(np.searchsorted(times, end, side="left"))
-    starts = np.empty(hi - lo + 1, dtype=float)
-    starts[0] = start
-    starts[1:] = times[lo:hi]
-    ends = np.empty(hi - lo + 1, dtype=float)
-    ends[:-1] = times[lo:hi]
-    ends[-1] = end
-    seg_values = np.empty(hi - lo + 1, dtype=float)
-    seg_values[0] = values[lo - 1] if lo > 0 else 0.0
-    seg_values[1:] = values[lo:hi]
-    return starts, ends, seg_values
 
 
 def phase_envelope_window(series: StepSeries, start: float, end: float,
@@ -230,8 +205,9 @@ def phase_envelope_window(series: StepSeries, start: float, end: float,
         # snap_bin) from spilling into an extra bin through rounding.
         bins = int(math.ceil((end - start) / bin_s - 1e-9))
     envelope = np.zeros(bins, dtype=float)
-    starts, ends, values = _window_segment_table(series, start, end)
-    for seg_start, seg_end, value in zip(starts.tolist(), ends.tolist(),
+    bounds, values = series.segment_arrays(start, end)
+    for seg_start, seg_end, value in zip(bounds[:-1].tolist(),
+                                         bounds[1:].tolist(),
                                          values.tolist()):
         if value <= 0.0:
             continue
@@ -252,9 +228,10 @@ def rotate_windows(table: RecordTable, offsets: Sequence[float],
     and :func:`rotate_window` is the one-member call of this function.
     All members go through one flat pass:
 
-    * every member's segment table (the :func:`_window_segment_table`
-      partition: same boundaries, same values, no arithmetic on either)
-      comes from index arithmetic on the table;
+    * every member's segment table (the
+      :meth:`~repro.sim.monitor.StepSeries.segment_arrays` partition:
+      same boundaries, same values, no arithmetic on either) comes from
+      index arithmetic on the table;
     * each segment start moves by its member's offset and wraps at
       ``end``; a segment that straddles ``end`` re-enters at ``start``;
     * one ``np.lexsort`` keyed on (member, time, value), stable, puts
@@ -564,7 +541,7 @@ def _default_epoch(config: FeederConfig, homes: Iterable["HomeSpec"],
 
 #: ``predict(index, start, end)``: see :func:`_epoch_loop`
 _Predict = Callable[[int, float, float],
-                   tuple[dict[int, tuple[float, ...]], Collection[int], int]]
+                   tuple[dict[int, tuple[float, ...]], int]]
 
 
 def _epoch_loop(profiles: Sequence[StepSeries], ids: Sequence[int],
@@ -582,14 +559,14 @@ def _epoch_loop(profiles: Sequence[StepSeries], ids: Sequence[int],
     the profiles' horizon):
 
     1. ``predict(index, start, end)`` returns every member's envelope
-       (keyed by id), the members pinned to offset 0, and how many
-       members it served off a degradation ladder.  The first window —
-       and every window under ``replan="cold"`` — publishes the
-       envelopes on a fresh :class:`FeederPlane` and negotiates from
-       zero claims (:func:`negotiate_offsets`); a ``"diff"`` window
-       re-publishes only the members whose envelope moved and gives
-       only them claim tokens (:func:`renegotiate_offsets`);
-    2. pinned members get offset 0, everyone else ``claim × bin_s``;
+       (keyed by id) and how many members it served off a degradation
+       ladder.  The first window — and every window under
+       ``replan="cold"`` — publishes the envelopes on a fresh
+       :class:`FeederPlane` and negotiates from zero claims
+       (:func:`negotiate_offsets`); a ``"diff"`` window re-publishes
+       only the members whose envelope moved and gives only them claim
+       tokens (:func:`renegotiate_offsets`);
+    2. every member's offset is its ``claim × bin_s``;
     3. every profile's window rotates by its offset in one
        :func:`rotate_windows` pass and the windows are summed exactly
        (:func:`~repro.neighborhood.aggregate.table_sums`).  The plan is
@@ -624,7 +601,7 @@ def _epoch_loop(profiles: Sequence[StepSeries], ids: Sequence[int],
     total_sweeps = replanned = 0
     planned = offsets = tuple(0.0 for _ in ids)
     for index, (start, end) in enumerate(windows):
-        envelopes, pinned, stale = predict(index, start, end)
+        envelopes, stale = predict(index, start, end)
         if plane is None:
             changed = list(ids)
             plane = FeederPlane(ids, envelopes, shifts)
@@ -648,11 +625,7 @@ def _epoch_loop(profiles: Sequence[StepSeries], ids: Sequence[int],
         total_sweeps += sweeps
         replanned += len(changed)
 
-        # A pinned member holds a claim, but its *applied* offset is 0;
-        # the claims dict itself stays the plane's live state.
-        planned = tuple(
-            0.0 if member in pinned else claims[member] * bin_s
-            for member in ids)
+        planned = tuple(claims[member] * bin_s for member in ids)
         independent_peak = independent.maximum(start, end)
         rotated = rotate_windows(table, planned, start, end)
         applied = any(offset != 0.0 for offset in planned)
@@ -665,9 +638,8 @@ def _epoch_loop(profiles: Sequence[StepSeries], ids: Sequence[int],
                 rotated = rotate_windows(table, [0.0] * table.n, start,
                                          end)
         if not applied:
-            starts, _ends, values = _window_segment_table(
-                independent, start, end)
-            window_sum = (starts, values)
+            bounds, values = independent.segment_arrays(start, end)
+            window_sum = (bounds[:-1], values)
             coordinated_peak = independent_peak
         window_tables.append(rotated)
         window_sums.append(RecordTable.of([window_sum]))
@@ -740,7 +712,7 @@ def _coordinate(profiles: Sequence[StepSeries], horizon: float,
     if envelopes is None:
         envelopes = [phase_envelope_window(profile, 0.0, horizon, bin_s)
                      for profile in profiles]
-    announced = (dict(zip(ids, envelopes)), (), 0)
+    announced = (dict(zip(ids, envelopes)), 0)
     if baseline is None:
         baseline = sum_series(list(profiles), name=name)
     plan, _outcomes, _replanned = _epoch_loop(

@@ -42,16 +42,19 @@ delayed (delivered whole a few epochs later through
 :meth:`~repro.telemetry.stream.TelemetryIngest.ingest_late`), or
 duplicated in the journal.  A per-home staleness ledger tracks the
 newest epoch each home has reported through; a home whose ledger lags
-the prediction boundary falls down a three-step ladder instead of
+the prediction boundary falls down a two-step ladder instead of
 feeding stale data to its configured forecaster:
 
 1. **persistence** — any telemetry at all → predict the last observed
    window forward (:class:`repro.forecast.PersistenceForecaster`);
-2. **last committed envelope** — no telemetry yet but a previous epoch
-   negotiated → reuse that epoch's committed envelope;
-3. **zero offset** — nothing known → a zero envelope, and the home's
-   claim is forced to offset 0 for the epoch (it participates in
-   aggregation but never rotates blind).
+2. **last committed envelope** — no telemetry yet → reuse the previous
+   epoch's committed envelope.
+
+No home is stale at epoch 0, and every later epoch has a committed
+envelope for every home, so the ladder always ends at step 2.  A home
+that never reports therefore replays its epoch-0 prediction for the
+rest of the run — and under the oracle that prediction was a peek at
+its realized load.
 
 The ladder only shapes *predictions*; offsets still rotate realized
 windows under the per-epoch guard, so energy conservation and
@@ -222,8 +225,7 @@ def coordinate_fleet_online(fleet: "FleetSpec",
         forecast.forecaster, realized=realized, noise=forecast.noise,
         noise_seed=forecast.noise_seed, ewma_alpha=forecast.ewma_alpha,
         season_epochs=forecast.season_epochs)
-    telemetry = TelemetryIngest(window_s=epoch_s,
-                                ewma_alpha=forecast.ewma_alpha)
+    telemetry = TelemetryIngest()
     from repro.faults import get_injector
     injector = get_injector()
     fallback = PersistenceForecaster()
@@ -248,7 +250,6 @@ def coordinate_fleet_online(fleet: "FleetSpec",
             latest_ingested[home_id] = max(
                 latest_ingested.get(home_id, -1), source)
         predictions = {}
-        forced_zero: set[int] = set()
         stale_homes = 0
         for home_id in home_ids:
             stale = index > 0 and \
@@ -259,21 +260,17 @@ def coordinate_fleet_online(fleet: "FleetSpec",
                     bin_s, bins)
                 continue
             # Degradation ladder: persistence over whatever telemetry
-            # exists, else the last committed envelope, else a zero
-            # envelope with the claim pinned to offset 0 — never rotate
-            # a home the plane knows nothing about.
+            # exists, else the last committed envelope (a stale home is
+            # never at epoch 0, so there always is one).
             stale_homes += 1
             if len(telemetry.series(home_id)):
                 predictions[home_id] = fallback.predict(
                     home_id, telemetry.series(home_id), start, end,
                     bin_s, bins)
-            elif home_id in committed:
-                predictions[home_id] = committed[home_id]
             else:
-                predictions[home_id] = tuple(0.0 for _ in range(bins))
-                forced_zero.add(home_id)
+                predictions[home_id] = committed[home_id]
         committed = predictions
-        return predictions, forced_zero, stale_homes
+        return predictions, stale_homes
 
     def observe(index: int, start: float, end: float) -> None:
         nonlocal dropped, delayed, duplicated

@@ -246,13 +246,15 @@ class StepSeries:
 
     # -- time-weighted statistics over [start, end) ---------------------------
 
-    def _segment_arrays(self, start: float,
-                        end: float) -> tuple[np.ndarray, np.ndarray]:
-        """``(durations, values)`` arrays of the segments in ``[start, end)``.
+    def segment_arrays(self, start: float,
+                       end: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(bounds, values)`` arrays of the segments in ``[start, end)``.
 
-        The vectorized counterpart of :meth:`segments` (same boundaries,
-        same subtractions), for the statistics below; callers must have
-        checked ``end > start``.
+        The vectorized counterpart of :meth:`segments`: segment ``k``
+        holds ``values[k]`` over ``[bounds[k], bounds[k + 1])``, with the
+        same boundaries and values and no arithmetic on either.  The
+        statistics below and the feeder plane's envelopes read this one
+        partition.  Callers must have checked ``end > start``.
         """
         times, values = self._data()
         lo = int(np.searchsorted(times, start, side="right"))
@@ -264,14 +266,14 @@ class StepSeries:
         seg_values = np.empty(hi - lo + 1, dtype=float)
         seg_values[0] = values[lo - 1] if lo > 0 else 0.0
         seg_values[1:] = values[lo:hi]
-        return np.diff(bounds), seg_values
+        return bounds, seg_values
 
     def integral(self, start: float, end: float) -> float:
         """∫ signal dt over ``[start, end)`` (e.g. energy from power)."""
         if end <= start:
             return 0.0
-        durations, values = self._segment_arrays(start, end)
-        return math.fsum((durations * values).tolist())
+        bounds, values = self.segment_arrays(start, end)
+        return math.fsum((np.diff(bounds) * values).tolist())
 
     def mean(self, start: float, end: float) -> float:
         """Time-weighted mean over ``[start, end)``."""
@@ -282,9 +284,10 @@ class StepSeries:
     def variance(self, start: float, end: float) -> float:
         """Time-weighted population variance over ``[start, end)``."""
         mu = self.mean(start, end)
-        durations, values = self._segment_arrays(start, end)
+        bounds, values = self.segment_arrays(start, end)
         deviation = values - mu
-        second = math.fsum((durations * (deviation * deviation)).tolist())
+        second = math.fsum(
+            (np.diff(bounds) * (deviation * deviation)).tolist())
         return second / (end - start)
 
     def std(self, start: float, end: float) -> float:
@@ -295,8 +298,8 @@ class StepSeries:
         """Maximum signal value attained in ``[start, end)``."""
         if end <= start:
             raise ValueError("empty interval")
-        durations, values = self._segment_arrays(start, end)
-        held = values[durations > 0]
+        bounds, values = self.segment_arrays(start, end)
+        held = values[np.diff(bounds) > 0]
         if held.size == 0:  # pragma: no cover - end > start implies one
             raise ValueError("empty interval")
         return float(held.max())
@@ -305,8 +308,8 @@ class StepSeries:
         """Minimum signal value attained in ``[start, end)``."""
         if end <= start:
             raise ValueError("empty interval")
-        durations, values = self._segment_arrays(start, end)
-        held = values[durations > 0]
+        bounds, values = self.segment_arrays(start, end)
+        held = values[np.diff(bounds) > 0]
         if held.size == 0:  # pragma: no cover - end > start implies one
             raise ValueError("empty interval")
         return float(held.min())

@@ -103,14 +103,20 @@ class TelemetryLog:
         collapse exactly as :meth:`record` defines (last wins;
         no-change records are dropped).
         """
-        series: dict[int, StepSeries] = {}
         per_home: dict[int, list[TelemetryEvent]] = {}
         for event in self._events:
             per_home.setdefault(event.home_id, []).append(event)
-        for home_id, events in per_home.items():
-            events.sort(key=lambda event: event.time)  # stable
-            home = StepSeries(name=f"telemetry/home-{home_id}")
-            for event in events:
-                home.record(event.time, event.value)
-            series[home_id] = home
-        return series
+        return {home_id: _replay_home(home_id, events)
+                for home_id, events in per_home.items()}
+
+
+def _replay_home(home_id: int,
+                 events: list[TelemetryEvent]) -> StepSeries:
+    """One home's series rebuilt from its journal ``events``, given in
+    arrival order and sorted in place: a stable time sort, then one
+    :meth:`~repro.sim.monitor.StepSeries.record` per event."""
+    events.sort(key=lambda event: event.time)  # stable
+    series = StepSeries(name=f"telemetry/home-{home_id}")
+    for event in events:
+        series.record(event.time, event.value)
+    return series

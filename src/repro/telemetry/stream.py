@@ -1,157 +1,37 @@
-"""Streaming ingestion: per-home series, rolling stats, journalling.
+"""Streaming ingestion: per-home series and journalling.
 
 :class:`TelemetryIngest` is the front door the online loop feeds each
 epoch: a batch of realized samples per home goes through
 :meth:`~repro.sim.monitor.StepSeries.append` (the vectorized bulk-record
-path), updates that home's :class:`RollingStats` incrementally, and is
-journalled in the shared :class:`~repro.telemetry.log.TelemetryLog` so
-the whole run can be replayed bit-identically.
-
-:class:`RollingStats` maintains windowed summaries without rescanning
-history: each appended piecewise-constant segment updates a bounded
-deque of recent segments (windowed time-weighted mean and peak) and a
-duration-weighted EWMA — the high-velocity-stream treatment of
-arXiv:1708.04613, reduced to the three summaries the forecasters and
-operators read.  Ingesting one stream in many small batches or one big
-batch yields the identical stats, which ``tests/test_telemetry.py``
-locks over randomized splits.
+path) into that home's history series, and is journalled in the shared
+:class:`~repro.telemetry.log.TelemetryLog` so the whole run can be
+replayed bit-identically.  The history series is all the forecasters
+read (after arXiv:1708.04613's per-home stream prediction).
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
-from typing import Deque, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.sim.monitor import StepSeries
-from repro.telemetry.log import TelemetryLog
-
-
-class RollingStats:
-    """Incrementally maintained windowed mean / peak / EWMA of one stream.
-
-    The stream is piecewise constant: each ingested record ``(t, v)``
-    closes the previous segment at ``t`` and opens a new one holding
-    ``v``.  Only segments overlapping the trailing ``window_s`` are
-    retained, so memory is bounded by the event rate inside one window,
-    not by stream length.
-    """
-
-    __slots__ = ("window_s", "ewma_alpha", "_segments", "_last_time",
-                 "_last_value", "_ewma")
-
-    def __init__(self, window_s: float, ewma_alpha: float = 0.5) -> None:
-        if window_s <= 0:
-            raise ValueError(f"window_s must be positive, got {window_s}")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError(
-                f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
-        self.window_s = float(window_s)
-        self.ewma_alpha = float(ewma_alpha)
-        #: closed segments ``(start, end, value)`` overlapping the window
-        self._segments: Deque[tuple[float, float, float]] = deque()
-        self._last_time: Optional[float] = None
-        self._last_value = 0.0
-        self._ewma = 0.0
-
-    def ingest(self, times: Iterable[float],
-               values: Iterable[float]) -> None:
-        """Fold a batch of records into the rolling summaries."""
-        for time, value in zip(times, values):
-            time = float(time)
-            value = float(value)
-            if self._last_time is not None:
-                if time < self._last_time:
-                    raise ValueError(
-                        f"telemetry sample at t={time} precedes "
-                        f"t={self._last_time}")
-                if time > self._last_time:
-                    self._close_segment(time)
-            self._last_time = time
-            self._last_value = value
-        self._evict()
-
-    def _close_segment(self, end: float) -> None:
-        start = self._last_time
-        duration = end - start
-        self._segments.append((start, end, self._last_value))
-        # Duration-weighted EWMA: one window's worth of signal moves the
-        # average by exactly ``ewma_alpha`` toward that signal.
-        effective = 1.0 - (1.0 - self.ewma_alpha) ** (
-            duration / self.window_s)
-        self._ewma += effective * (self._last_value - self._ewma)
-
-    def _evict(self) -> None:
-        if self._last_time is None:
-            return
-        cutoff = self._last_time - self.window_s
-        while self._segments and self._segments[0][1] <= cutoff:
-            self._segments.popleft()
-
-    @property
-    def now(self) -> float:
-        """Time of the most recent sample (0.0 before any sample)."""
-        return self._last_time if self._last_time is not None else 0.0
-
-    @property
-    def current(self) -> float:
-        """Value currently in force (the last sample's value)."""
-        return self._last_value
-
-    @property
-    def mean(self) -> float:
-        """Time-weighted mean over the trailing window."""
-        if self._last_time is None:
-            return 0.0
-        cutoff = self._last_time - self.window_s
-        terms = [(min(end, self._last_time) - max(start, cutoff)) * value
-                 for start, end, value in self._segments
-                 if end > cutoff]
-        span = math.fsum(
-            min(end, self._last_time) - max(start, cutoff)
-            for start, end, _ in self._segments if end > cutoff)
-        if span <= 0.0:
-            return self._last_value
-        return math.fsum(terms) / span
-
-    @property
-    def peak(self) -> float:
-        """Maximum value over the trailing window (incl. current value)."""
-        if self._last_time is None:
-            return 0.0
-        cutoff = self._last_time - self.window_s
-        best = self._last_value
-        for _start, end, value in self._segments:
-            if end > cutoff and value > best:
-                best = value
-        return best
-
-    @property
-    def ewma(self) -> float:
-        """Duration-weighted exponentially-weighted moving average."""
-        return self._ewma
+from repro.telemetry.log import TelemetryLog, _replay_home
 
 
 class TelemetryIngest:
-    """Per-home streaming front door: series + rolling stats + journal."""
+    """Per-home streaming front door: history series + journal."""
 
-    __slots__ = ("window_s", "ewma_alpha", "log", "_series", "_stats")
+    __slots__ = ("log", "_series")
 
-    def __init__(self, window_s: float, ewma_alpha: float = 0.5,
-                 log: Optional[TelemetryLog] = None) -> None:
-        self.window_s = float(window_s)
-        self.ewma_alpha = float(ewma_alpha)
+    def __init__(self, log: Optional[TelemetryLog] = None) -> None:
         self.log = log if log is not None else TelemetryLog()
         self._series: dict[int, StepSeries] = {}
-        self._stats: dict[int, RollingStats] = {}
 
     def ingest(self, home_id: int, times: Iterable[float],
                values: Iterable[float]) -> None:
-        """Append one home's batch: series, rolling stats, and journal."""
+        """Append one home's batch: series and journal."""
         times = [float(time) for time in times]
         values = [float(value) for value in values]
         self.series(home_id).append(times, values)
-        self.stats(home_id).ingest(times, values)
         self.log.extend(home_id, times, values)
 
     def ingest_late(self, home_id: int, times: Iterable[float],
@@ -162,30 +42,21 @@ class TelemetryIngest:
         delayed batch whose samples precede already-ingested ones would
         be rejected there.  This path journals the batch exactly as it
         arrived (the journal records *arrival*, late or not), then
-        rebuilds the home's series and rolling stats from its stable
-        time-sorted journal events — the same normalization
-        :meth:`repro.telemetry.log.TelemetryLog.replay` applies, so the
-        post-recovery state is bit-identical to what an on-time
-        delivery would have produced.  Duplicate batches collapse under
-        :meth:`~repro.sim.monitor.StepSeries.record` semantics.
+        rebuilds the home's series from its journal events with the
+        rebuild :meth:`repro.telemetry.log.TelemetryLog.replay` applies
+        per home, so the post-recovery state is bit-identical to what
+        an on-time delivery would have produced.  Duplicate batches
+        collapse under :meth:`~repro.sim.monitor.StepSeries.record`
+        semantics.
 
-        Cost is O(home's journalled events) per late batch — the price
-        of recovery, paid only on actual late arrivals.
+        Cost is one scan of the journal plus a rebuild of the home's
+        events per late batch — the price of recovery, paid only on
+        actual late arrivals.
         """
-        times = [float(time) for time in times]
-        values = [float(value) for value in values]
         self.log.extend(home_id, times, values)
-        events = [event for event in self.log.events
-                  if event.home_id == home_id]
-        events.sort(key=lambda event: event.time)  # stable
-        series = StepSeries(name=f"telemetry/home-{home_id}")
-        stats = RollingStats(self.window_s, ewma_alpha=self.ewma_alpha)
-        for event in events:
-            series.record(event.time, event.value)
-        stats.ingest([event.time for event in events],
-                     [event.value for event in events])
-        self._series[home_id] = series
-        self._stats[home_id] = stats
+        self._series[home_id] = _replay_home(
+            home_id, [event for event in self.log.events
+                      if event.home_id == home_id])
 
     def series(self, home_id: int) -> StepSeries:
         """The home's ingested history (empty series before first batch)."""
@@ -194,11 +65,3 @@ class TelemetryIngest:
             series = StepSeries(name=f"telemetry/home-{home_id}")
             self._series[home_id] = series
         return series
-
-    def stats(self, home_id: int) -> RollingStats:
-        """The home's rolling summaries (zeroed before first batch)."""
-        stats = self._stats.get(home_id)
-        if stats is None:
-            stats = RollingStats(self.window_s, ewma_alpha=self.ewma_alpha)
-            self._stats[home_id] = stats
-        return stats

@@ -1,28 +1,22 @@
-"""The telemetry plane: bulk append, rolling stats, replayable journal.
+"""The telemetry plane: bulk append, replayable journal.
 
-Three contracts locked here:
+Two contracts locked here:
 
 * :meth:`repro.sim.monitor.StepSeries.append` is *exactly* a
   ``record()`` loop — fast path and fallback alike — and every cached
   view (``times``/``values`` tuples, the ``_data()`` ndarray pair) is
   invalidated on mutation, never returned stale (the PR 8 regression:
   a view fetched before an append must reflect the append afterwards);
-* :class:`repro.telemetry.stream.RollingStats` is batch-split
-  invariant: one stream ingested in any partition of batches yields
-  identical summaries, and its windowed mean matches the brute-force
-  time-weighted definition;
 * :class:`repro.telemetry.log.TelemetryLog` replays bit-identically:
   the journal alone rebuilds every per-home series the live ingestion
   maintained, and the digest fingerprints the exact event stream.
 """
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.sim.monitor import StepSeries
-from repro.telemetry import RollingStats, TelemetryIngest, TelemetryLog
+from repro.telemetry import TelemetryIngest, TelemetryLog
 
 
 def recorded(pairs, name="s"):
@@ -159,86 +153,11 @@ def test_stats_recompute_after_append():
     assert series.maximum(0.0, 30.0) == 100.0
 
 
-# -- RollingStats -----------------------------------------------------------
-
-
-def test_rolling_stats_validation():
-    with pytest.raises(ValueError, match="window_s"):
-        RollingStats(0.0)
-    with pytest.raises(ValueError, match="ewma_alpha"):
-        RollingStats(10.0, ewma_alpha=0.0)
-    with pytest.raises(ValueError, match="ewma_alpha"):
-        RollingStats(10.0, ewma_alpha=1.5)
-    stats = RollingStats(10.0)
-    stats.ingest([5.0], [1.0])
-    with pytest.raises(ValueError, match="precedes"):
-        stats.ingest([4.0], [2.0])
-
-
-def test_rolling_stats_zero_before_any_sample():
-    stats = RollingStats(60.0)
-    assert stats.now == 0.0
-    assert stats.current == 0.0
-    assert stats.mean == 0.0
-    assert stats.peak == 0.0
-    assert stats.ewma == 0.0
-
-
-@pytest.mark.parametrize("seed", [11, 12, 13, 14])
-def test_rolling_stats_batch_split_invariance(seed):
-    times, values = random_stream(seed, n=80)
-    one = RollingStats(25.0, ewma_alpha=0.4)
-    one.ingest(times, values)
-    rng = np.random.default_rng(seed + 50)
-    cuts = sorted(rng.choice(len(times), size=6, replace=False).tolist())
-    many = RollingStats(25.0, ewma_alpha=0.4)
-    for lo, hi in zip([0] + cuts, cuts + [len(times)]):
-        many.ingest(times[lo:hi], values[lo:hi])
-    assert many.now == one.now
-    assert many.current == one.current
-    assert many.mean == one.mean
-    assert many.peak == one.peak
-    assert many.ewma == one.ewma
-
-
-@pytest.mark.parametrize("seed", [21, 22])
-def test_rolling_mean_matches_time_weighted_definition(seed):
-    times, values = random_stream(seed, n=40)
-    window = 30.0
-    stats = RollingStats(window)
-    stats.ingest(times, values)
-    now = times[-1]
-    cutoff = now - window
-    terms, span = [], []
-    for (t0, v0), t1 in zip(zip(times, values), times[1:]):
-        overlap = min(t1, now) - max(t0, cutoff)
-        if overlap > 0:
-            terms.append(overlap * v0)
-            span.append(overlap)
-    expected = math.fsum(terms) / math.fsum(span)
-    assert stats.mean == pytest.approx(expected, rel=1e-12)
-
-
-def test_rolling_peak_includes_current_value_and_evicts_old():
-    stats = RollingStats(10.0)
-    stats.ingest([0.0, 1.0, 20.0], [500.0, 5.0, 50.0])
-    # The 500 W segment ended at t=1 < 20-10: evicted from the window.
-    assert stats.peak == 50.0
-    assert stats.current == 50.0
-
-
-def test_rolling_ewma_saturates_toward_held_value():
-    stats = RollingStats(10.0, ewma_alpha=0.5)
-    stats.ingest([0.0], [100.0])
-    stats.ingest([1000.0], [0.0])  # 100 windows of 100 W signal
-    assert stats.ewma == pytest.approx(100.0, rel=1e-9)
-
-
 # -- TelemetryIngest + TelemetryLog -----------------------------------------
 
 
-def ingested(window_s=60.0, homes=(0, 1, 7), seed=31, batches=4):
-    ingest = TelemetryIngest(window_s=window_s)
+def ingested(homes=(0, 1, 7), seed=31, batches=4):
+    ingest = TelemetryIngest()
     rng = np.random.default_rng(seed)
     for home in homes:
         times, values = random_stream(seed + home, n=batches * 10)
@@ -254,10 +173,9 @@ def test_ingest_feeds_series_stats_and_journal_together():
     for home in (0, 1, 7):
         assert len(ingest.series(home)) > 0
         # The series dedups held values, so its last record may predate
-        # the last raw sample; the stats clock tracks the raw stream.
+        # the last raw sample.
         last_sample = max(event.time for event in ingest.log.events
                           if event.home_id == home)
-        assert ingest.stats(home).now == last_sample
         assert tuple(ingest.series(home).times)[-1] <= last_sample
     assert len(ingest.log) == sum(
         1 for event in ingest.log.events)
@@ -265,9 +183,8 @@ def test_ingest_feeds_series_stats_and_journal_together():
 
 
 def test_untouched_home_reads_as_empty_not_error():
-    ingest = TelemetryIngest(window_s=60.0)
+    ingest = TelemetryIngest()
     assert len(ingest.series(99)) == 0
-    assert ingest.stats(99).mean == 0.0
 
 
 def test_log_replay_rebuilds_series_bit_identically():
@@ -378,10 +295,10 @@ def test_canonical_digest_still_fingerprints_content():
 @pytest.mark.parametrize("seed", [0, 5])
 def test_ingest_late_restores_on_time_state_bit_identically(seed):
     batches = epoch_batches(seed=70 + seed)
-    on_time = TelemetryIngest(window_s=60.0)
+    on_time = TelemetryIngest()
     for home, times, values in batches:
         on_time.ingest(home, times, values)
-    stormy = TelemetryIngest(window_s=60.0)
+    stormy = TelemetryIngest()
     rng = np.random.default_rng(seed)
     held = []
     for home, times, values in batches:
@@ -395,10 +312,6 @@ def test_ingest_late_restores_on_time_state_bit_identically(seed):
     for home in {batch[0] for batch in batches}:
         assert series_state(stormy.series(home)) \
             == series_state(on_time.series(home))
-        late, clean = stormy.stats(home), on_time.stats(home)
-        assert (late.now, late.current, late.mean, late.peak,
-                late.ewma) == (clean.now, clean.current, clean.mean,
-                               clean.peak, clean.ewma)
     # Journal content is the same multiset; only arrival order differs.
     assert stormy.log.canonical_digest() == on_time.log.canonical_digest()
     # And the stormy journal replays to the same series too.
