@@ -1,10 +1,10 @@
 """FLEET — N=500 sharded, coordinated neighborhood smoke.
 
 The fleet-scale acceptance path of PR 5: five hundred heterogeneous
-homes behind one feeder, executed through the sharded engine (worker
-pre-reduction + batched series transport + exact partial aggregation)
-with the feeder collaboration plane on top, run once as the fleet
-scale lock (perfbench's fleet-100 workload does the timing).
+homes behind one feeder, executed through the sharded engine (whole
+shards per worker + batched series transport + one exact feeder sum in
+the parent) with the feeder collaboration plane on top, run once as the
+fleet scale lock (perfbench's fleet-100 workload does the timing).
 
 The shortened horizon keeps the smoke inside the tier-1 budget; the
 acceptance measurement at the full 120-minute window is recorded in

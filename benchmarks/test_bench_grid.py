@@ -1,9 +1,9 @@
 """GRID-10K — 10,000 homes on 20 feeders, end-to-end under a minute.
 
 The fleet-of-fleets acceptance path of PR 7: twenty 500-home feeders
-under one substation, executed through the sharded engine with worker-
-side envelope pre-reduction, per-feeder CP rounds, and feeder-level
-envelope negotiation at the substation tier
+under one substation, executed through the sharded engine with
+per-feeder CP rounds and feeder-level envelope negotiation at the
+substation tier
 (:func:`repro.neighborhood.grid.execute_grid`), run once as the 10k
 scale lock.
 

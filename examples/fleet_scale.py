@@ -3,11 +3,10 @@
 
 Builds the neighborhood declaratively (one ``ExperimentSpec``), runs it
 through the fleet-scale execution engine — the fleet is lowered into
-per-shard sub-specs, each worker runs a whole shard and pre-reduces it
-locally, per-home series come back as one batched frame per shard —
-negotiates cross-home phase offsets on the
-feeder collaboration plane, and prints the feeder report plus the
-execution plan that produced it.
+per-shard sub-specs, each worker runs a whole shard and returns its
+home runs, per-home series come back as one batched frame per shard —
+negotiates cross-home phase offsets on the feeder collaboration plane,
+and prints the feeder report plus the execution plan that produced it.
 
 Results are bit-identical for every ``(shard_size, jobs)`` combination; sharding only changes how fast the answer arrives.
 

@@ -29,8 +29,9 @@ from repro.workloads import PAPER_RATES, Scenario, paper_scenario
 
 #: Release version; also the result-cache invalidation key.  2.0 removed
 #: the deprecated 1.x entry points; every experiment now goes through
-#: ``repro.api.run``.
-__version__ = "2.0.0"
+#: ``repro.api.run``.  2.1 changed the pickled shard and neighborhood
+#: result layouts (shards return home runs only).
+__version__ = "2.1.0"
 
 __all__ = [
     "HanConfig",

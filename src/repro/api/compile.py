@@ -206,17 +206,19 @@ def shard_sub_hash(parent_hash: str, shard) -> str:
     Shard planning is deterministic: given the parent spec (whose hash
     seeds this digest) and a partition, shard ``index`` always holds the
     same homes with the same derived seeds — so ``(parent, index,
-    n_homes, first home, horizon)`` pins the sub-spec's content without
-    serializing the sub-fleet.  Workers key per-shard checkpoints on
-    this (:mod:`repro.service.worker`): two attempts at the same shard
-    of the same spec dedup onto one stored outcome, while any different
-    partition (another ``shard_size``) gets disjoint addresses.
+    n_homes, first home)`` pins the sub-spec's content without
+    serializing the sub-fleet (the parent hash pins the horizon, and a
+    grid numbers its shards globally across feeders).  Workers key
+    per-shard checkpoints on this (:mod:`repro.service.worker`): two
+    attempts at the same shard of the same spec dedup onto one stored
+    outcome, while any different partition (another ``shard_size``)
+    gets disjoint addresses.
     """
     import hashlib
     first = shard.fleet.homes[0].scenario.name if shard.fleet.homes \
         else ""
     token = (f"{parent_hash}:shard{shard.index}:{shard.fleet.n_homes}"
-             f":{first}:{shard.horizon}")
+             f":{first}")
     return hashlib.sha256(token.encode()).hexdigest()
 
 

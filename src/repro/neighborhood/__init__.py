@@ -7,7 +7,7 @@ Eight modules, one pipeline (see ``docs/architecture.md``):
 * :mod:`~repro.neighborhood.federation` — fleet execution and result
   packaging (:func:`execute_fleet`);
 * :mod:`~repro.neighborhood.shard` — the one fleet execution path:
-  per-shard sub-specs, worker-local pre-reduction (:func:`plan_shards`);
+  per-shard sub-specs of whole home runs (:func:`plan_shards`);
 * :mod:`~repro.neighborhood.transport` — one batched series frame per
   shard between workers and the parent;
 * :mod:`~repro.neighborhood.coordination` — the coordination loop every

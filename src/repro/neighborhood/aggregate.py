@@ -13,11 +13,12 @@ margin; the events the margin cannot certify are re-summed with
 ``math.fsum`` directly.  :func:`table_sums` is that one exact-sum core:
 :func:`sum_series` and every online epoch's feeder window go through it.
 
-Fleet-scale runs pre-reduce per shard: each worker folds its homes into
-one :class:`SeriesPartial` (hi/lo compensated pair per event), and the
-parent combines S partials instead of N homes
-(:func:`combine_partials`) — same bits, a fleet-size-independent parent
-loop.
+:class:`SeriesPartial`, :func:`partial_sum` and :func:`combine_partials`
+fold a partitioned fleet in two steps (per-group compensated partials,
+then one combine) to the same bits as :func:`sum_series`.  No run path
+calls them: shards return their home runs and the parent sums each
+feeder once.  They stay because the layer-traced benchmark pass wraps
+them by name.
 
 :class:`FeederStats` summarises one feeder profile;
 :class:`FeederComparison` puts two of them side by side — the independent
@@ -182,8 +183,8 @@ def _sample_arrays(times: np.ndarray, values: np.ndarray,
     """Step-function sampling on raw arrays (0.0 before the first event).
 
     The array twin of :meth:`~repro.sim.monitor.StepSeries.sample`, for
-    consumers that hold a series as bare ``(times, values)`` pairs (shard
-    partials, transport frames).
+    consumers that hold a series as bare ``(times, values)`` pairs
+    (:func:`combine_partials`, which no run path calls).
     """
     if times.size == 0:
         return np.zeros(query.shape, dtype=float)
@@ -257,7 +258,8 @@ def _sum2_blocks(table: RecordTable, events: np.ndarray,
 def _sum2_table(table: RecordTable,
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(events, hi, lo, abs_sum)`` of :func:`_sum2_blocks` over the
-    table's whole event union."""
+    table's whole event union (for :func:`partial_sum` and
+    :func:`combine_partials`, which no run path calls)."""
     events = np.unique(table.times)
     hi = np.empty(events.size)
     lo = np.empty(events.size)
@@ -344,15 +346,16 @@ def sum_series(series_list: Sequence[StepSeries],
 
 @dataclass(frozen=True)
 class SeriesPartial:
-    """A shard's pre-reduced (compensated) partial sum of its home series.
+    """A group's pre-reduced (compensated) partial sum of its series.
 
-    ``hi + lo`` tracks the shard's exact per-event total to within
+    ``hi + lo`` tracks the group's exact per-event total to within
     :func:`_sum2_error_bound` of ``n_series`` terms scaled by ``abs_w``;
     between events every component is constant, so sampling the three
-    arrays at any later event grid reproduces the shard's exact state
-    there.  Produced by workers (:func:`partial_sum`), consumed by the
-    parent (:func:`combine_partials`) — N per-home columns collapse to S
-    shard columns without changing a bit of the final feeder profile.
+    arrays at any later event grid reproduces the group's exact state
+    there.  Produced by :func:`partial_sum`, consumed by
+    :func:`combine_partials` — N per-series columns collapse to S group
+    columns without changing a bit of the final sum.  No run path
+    builds one (see the module docstring).
     """
 
     times: np.ndarray
@@ -372,10 +375,10 @@ class SeriesPartial:
 def partial_sum(series_list: Sequence[StepSeries]) -> SeriesPartial:
     """Pre-reduce a group of series into one :class:`SeriesPartial`.
 
-    Runs in the shard worker: the group's union event grid plus the
-    compensated column sum over its members.  Deterministic — pure
-    arithmetic on the (bit-deterministic) member series, no rounding
-    decision is taken here.
+    The group's union event grid plus the compensated column sum over
+    its members.  Deterministic — pure arithmetic on the member series,
+    no rounding decision is taken here.  No run path calls this; the
+    layer-traced benchmark pass wraps it by name.
     """
     table = RecordTable.of_series(series_list)
     if not table.times.size:
@@ -388,17 +391,17 @@ def partial_sum(series_list: Sequence[StepSeries]) -> SeriesPartial:
 def combine_partials(partials: Sequence[SeriesPartial],
                      series_list: Optional[Sequence[StepSeries]] = None,
                      name: str = "feeder") -> StepSeries:
-    """Fold shard partials into the feeder profile, bit-identically.
+    """Fold group partials into one profile, bit-identically.
 
-    The parent-side half of sharded aggregation: samples every shard's
-    ``(hi, lo, abs)`` state at the global union of events and re-reduces
-    2·S compensated columns.  Because each certified row is the
-    *correctly rounded* exact total — a value independent of the
-    partition — the result equals :func:`sum_series` over the flat home
-    list for any shard size.  ``series_list`` (the full per-home series,
-    which the parent holds anyway for per-home reporting) serves the
-    ``math.fsum`` fallback on uncertain rows; omitting it is only safe
-    for callers that accept a (never yet observed) ``ValueError`` there.
+    Samples every group's ``(hi, lo, abs)`` state at the global union of
+    events and re-reduces 2·S compensated columns.  Because each
+    certified row is the *correctly rounded* exact total — a value
+    independent of the partition — the result equals :func:`sum_series`
+    over the flat member list for any grouping.  ``series_list`` (the
+    full member series) serves the ``math.fsum`` fallback on uncertain
+    rows; omitting it is only safe for callers that accept a (never yet
+    observed) ``ValueError`` there.  No run path calls this; the
+    layer-traced benchmark pass wraps it by name.
     """
     nonempty = [p for p in partials if p.times.size]
     if not nonempty:
@@ -524,12 +527,14 @@ class FeederComparison:
 def feeder_stats(feeder_w: StepSeries,
                  home_series: Sequence[StepSeries],
                  start: float, end: float,
-                 precomputed_home_stats: Optional[Sequence[LoadStats]] = None,
+                 home_stats: Optional[Sequence[LoadStats]] = None,
                  ) -> FeederStats:
-    """Compute :class:`FeederStats` over ``[start, end)``."""
+    """Compute :class:`FeederStats` over ``[start, end)``; pass
+    ``home_stats`` to reuse per-home stats already computed for the
+    same window."""
     stats = load_stats(feeder_w, start, end)
-    if precomputed_home_stats is not None:
-        home_peaks = [s.peak_kw for s in precomputed_home_stats]
+    if home_stats is not None:
+        home_peaks = [s.peak_kw for s in home_stats]
     else:
         home_peaks = [load_stats(series, start, end).peak_kw
                       for series in home_series]

@@ -66,7 +66,6 @@ import numpy as np
 from repro.core.system import RunResult
 from repro.neighborhood.aggregate import (
     RecordTable,
-    combine_partials,
     dedup_records,
     record_keep,
     sum_series,
@@ -174,10 +173,6 @@ def snap_bin(horizon: float, bin_s: float) -> float:
     The claim objective rolls envelopes on a cycle of ``bins × bin_s``
     and rotation wraps at the horizon — the two cycles must be the same
     length or the negotiated offsets optimize a mis-wrapped profile.
-    Both :func:`coordinate_fleet` and the shard planner's envelope
-    pre-reduction (:attr:`repro.neighborhood.shard.ShardSpec.envelope_bin_s`)
-    go through this one function, so a worker-side envelope is always
-    computed at exactly the bin the parent will negotiate with.
     """
     n_bins = max(int(round(horizon / bin_s)), 1)
     return horizon / n_bins
@@ -693,28 +688,19 @@ def _stitch(windows: Sequence[RecordTable]) -> RecordTable:
 
 def _coordinate(profiles: Sequence[StepSeries], horizon: float,
                 config: FeederConfig, epoch: float, name: str,
-                envelopes: Optional[Sequence[tuple[float, ...]]] = None,
-                baseline: Optional[StepSeries] = None,
                 ) -> FeederCoordination:
     """The batch tiers: :func:`_epoch_loop`'s one-window call over the
     whole horizon ``[0, horizon)``, announcing each profile's own
     envelope with offsets bounded by ``min(epoch, horizon)``.
-
-    ``envelopes`` (per profile, at :func:`snap_bin`'s width) and
-    ``baseline`` (the profiles' sum) may come precomputed; both are pure
-    functions of ``profiles``, so passing them never changes a bit.
     """
     if not profiles:
         raise ValueError("need at least one profile to coordinate")
     epoch = min(epoch, horizon)
     bin_s = snap_bin(horizon, config.bin_s)
     ids = list(range(len(profiles)))
-    if envelopes is None:
-        envelopes = [phase_envelope_window(profile, 0.0, horizon, bin_s)
-                     for profile in profiles]
-    announced = (dict(zip(ids, envelopes)), 0)
-    if baseline is None:
-        baseline = sum_series(list(profiles), name=name)
+    announced = ({index: phase_envelope_window(profile, 0.0, horizon, bin_s)
+                  for index, profile in enumerate(profiles)}, 0)
+    baseline = sum_series(list(profiles), name=name)
     plan, _outcomes, _replanned = _epoch_loop(
         profiles, ids, baseline, [(0.0, horizon)], epoch, bin_s,
         max(int(epoch / bin_s + 1e-9), 1), config,
@@ -756,9 +742,6 @@ def coordinate_profiles(profiles: Sequence[StepSeries], horizon: float,
 def coordinate_fleet(fleet: "FleetSpec", results: Sequence[RunResult],
                      horizon: float,
                      config: Optional[FeederConfig] = None,
-                     partials: Optional[Sequence[object]] = None,
-                     envelopes: Optional[
-                         Sequence[tuple[float, ...]]] = None,
                      ) -> FeederCoordination:
     """Negotiate and apply cross-home phase offsets for a finished run.
 
@@ -767,14 +750,6 @@ def coordinate_fleet(fleet: "FleetSpec", results: Sequence[RunResult],
     ``results`` are the per-home :class:`~repro.core.system.RunResult`
     objects of ``fleet`` (fleet order).  Pure post-exchange: no
     randomness, no re-simulation, bit-identical for any worker count.
-
-    ``partials`` — the per-shard
-    :class:`~repro.neighborhood.aggregate.SeriesPartial` pre-reductions
-    of the run — let the independent baseline fold from S shard columns
-    instead of N homes; ``envelopes`` — per-home phase envelopes (fleet
-    order) the shard workers pre-reduced at :func:`snap_bin`'s width —
-    skip the parent-side :func:`phase_envelope_window` pass.  Both are
-    bit-identical to computing them here.
     """
     if config is None:
         config = FeederConfig()
@@ -782,13 +757,5 @@ def coordinate_fleet(fleet: "FleetSpec", results: Sequence[RunResult],
         raise ValueError(
             f"fleet has {fleet.n_homes} homes but got {len(results)} "
             f"results")
-    if envelopes is not None and len(envelopes) != fleet.n_homes:
-        raise ValueError(
-            f"fleet has {fleet.n_homes} homes but got "
-            f"{len(envelopes)} precomputed envelopes")
-    series = [result.load_w for result in results]
-    baseline = combine_partials(partials, series) \
-        if partials is not None else None
-    return _coordinate(series, horizon, config,
-                       _default_epoch(config, fleet.homes), "feeder",
-                       envelopes=envelopes, baseline=baseline)
+    return _coordinate([result.load_w for result in results], horizon,
+                       config, _default_epoch(config, fleet.homes), "feeder")

@@ -26,15 +26,14 @@ from repro.core.system import RunResult
 from repro.neighborhood.aggregate import (
     FeederComparison,
     FeederStats,
-    combine_partials,
     feeder_stats,
+    sum_series,
 )
 from repro.neighborhood.shard import execute_shards, plan_shards
 from repro.neighborhood.coordination import (
     FeederConfig,
     FeederCoordination,
     coordinate_fleet,
-    snap_bin,
 )
 from repro.neighborhood.fleet import FleetSpec
 from repro.sim.monitor import StepSeries
@@ -67,12 +66,6 @@ class NeighborhoodResult:
     #: compiled from, when it came through the spec API (``None`` for
     #: hand-built fleets); exporters embed its hash + canonical JSON.
     spec: Optional[object] = field(default=None)
-    #: Per-home stats over the default ``[0, horizon)`` window, when the
-    #: shard workers pre-computed them (fleet order); :meth:`home_stats`
-    #: serves this cache for the default window — same code path in the
-    #: worker, so the values are bit-identical to computing them here.
-    precomputed_home_stats: Optional[list[LoadStats]] = \
-        field(default=None, repr=False)
 
     @property
     def contributions_w(self) -> list[StepSeries]:
@@ -95,9 +88,6 @@ class NeighborhoodResult:
         statistics under either coordination mode.
         """
         window_end = end if end is not None else self.horizon
-        if (self.precomputed_home_stats is not None and start == 0.0
-                and window_end == self.horizon):
-            return list(self.precomputed_home_stats)
         return [load_stats(result.load_w, start, window_end)
                 for result in self.homes]
 
@@ -112,7 +102,7 @@ class NeighborhoodResult:
             home_stats = self.home_stats(start, window_end)
         return feeder_stats(
             self.feeder_w, self.contributions_w,
-            start, window_end, precomputed_home_stats=home_stats)
+            start, window_end, home_stats=home_stats)
 
     def comparison(self, start: float = 0.0,
                    end: Optional[float] = None) -> Optional[FeederComparison]:
@@ -128,10 +118,10 @@ class NeighborhoodResult:
         independent = feeder_stats(
             self.coordination.independent_w,
             [result.load_w for result in self.homes],
-            start, window_end, precomputed_home_stats=home_stats)
+            start, window_end, home_stats=home_stats)
         coordinated = feeder_stats(
             self.coordination.coordinated_w, self.contributions_w,
-            start, window_end, precomputed_home_stats=home_stats)
+            start, window_end, home_stats=home_stats)
         return FeederComparison(independent=independent,
                                 coordinated=coordinated)
 
@@ -231,10 +221,10 @@ def execute_fleet(fleet: FleetSpec, jobs: int = 1,
 
     ``shard_size`` tunes the execution strategy (see
     :mod:`repro.neighborhood.shard`): every fleet runs as shards — each
-    worker runs a whole sub-fleet, pre-reduces it locally and ships one
-    batched series frame; ``shard_size=None`` sizes shards
-    automatically (a small in-process fleet is one shard).  A pure
-    execution knob — results are bit-identical for every value.
+    worker runs a whole sub-fleet and ships one batched series frame;
+    ``shard_size=None`` sizes shards automatically (a small in-process
+    fleet is one shard).  A pure execution knob — results are
+    bit-identical for every value.
 
     ``shard_executor`` swaps the per-shard worker body (see
     :func:`repro.neighborhood.shard.execute_shards`) — the service
@@ -255,40 +245,28 @@ def _run_feeder(fleet: FleetSpec, horizon: float, until: Optional[float],
                 jobs: int, coordination: str,
                 feeder: Optional[FeederConfig], shard_size: Optional[int],
                 shard_executor, forecast: Optional[object] = None,
-                first_shard: int = 0) -> tuple[NeighborhoodResult, list]:
+                first_shard: int = 0) -> tuple[NeighborhoodResult, int]:
     """Shard, execute and coordinate one feeder's fleet.
 
     The one feeder path of :func:`execute_fleet` and of every feeder of
     :func:`repro.neighborhood.grid.execute_grid` (which passes its grid
     ``horizon``).  Shard indices start at ``first_shard`` so a grid's
     checkpoint sub-addresses stay unique.  Returns the result (no
-    ``spec`` stamped) and the shard partials.
+    ``spec`` stamped) and how many shards it ran.
     """
-    # Coordinating runs ask the shard workers to pre-reduce each home's
-    # phase envelope at the exact (snapped) bin the plane will negotiate
-    # with, so the parent-side cost of coordination stays flat in N.
-    envelope_bin = None
-    if coordination == "feeder":
-        envelope_bin = snap_bin(
-            horizon, (feeder or FeederConfig()).bin_s)
     shards = [replace(shard, index=first_shard + shard.index)
               for shard in plan_shards(fleet, until=until,
-                                       shard_size=shard_size, jobs=jobs,
-                                       envelope_bin_s=envelope_bin,
-                                       horizon=horizon)]
-    results, partials, home_stats, envelopes = execute_shards(
-        shards, jobs=jobs, executor=shard_executor)
+                                       shard_size=shard_size, jobs=jobs)]
+    results = execute_shards(shards, jobs=jobs, executor=shard_executor)
     plan = None
     if coordination == "feeder":
-        plan = coordinate_fleet(fleet, results, horizon, config=feeder,
-                                partials=partials, envelopes=envelopes)
+        plan = coordinate_fleet(fleet, results, horizon, config=feeder)
     elif coordination == "online":
         from repro.neighborhood.online import coordinate_fleet_online
         plan = coordinate_fleet_online(fleet, results, horizon,
-                                       config=feeder, forecast=forecast,
-                                       partials=partials)
+                                       config=feeder, forecast=forecast)
     feeder_w = plan.coordinated_w if plan is not None else \
-        combine_partials(partials, [result.load_w for result in results])
+        sum_series([result.load_w for result in results])
     return NeighborhoodResult(fleet=fleet, homes=results, feeder_w=feeder_w,
-                              horizon=horizon, coordination=plan,
-                              precomputed_home_stats=home_stats), partials
+                              horizon=horizon, coordination=plan), \
+        len(shards)

@@ -10,10 +10,7 @@ coordination pass:
 
 1. **Feeder tier** — every feeder runs the one feeder runner behind
    :func:`~repro.neighborhood.federation.execute_fleet`, staggering its
-   homes exactly as a neighborhood run would.  Shard workers pre-reduce
-   each home's phase envelope locally
-   (:attr:`repro.neighborhood.shard.ShardSpec.envelope_bin_s`), so the
-   parent never recomputes per-home envelopes.
+   homes exactly as a neighborhood run would.
 2. **Substation tier** — the *feeder-level* profiles become the unit
    that flows up the tree (per arXiv:2304.11770's aggregate-envelope
    evaluation): the same coordination loop
@@ -23,12 +20,11 @@ coordination pass:
    The substation plane never regresses the grid it coordinates.
 
 Aggregation composes exactly up the tree because
-:func:`repro.neighborhood.aggregate.combine_partials` is
-partition-invariant: the substation's fully-independent profile is the
-*correctly rounded* (``math.fsum``-equal) per-event sum of **all** home
-series, no matter how homes are grouped into feeders or shards — the
-invariant ``tests/test_grid_invariants.py`` locks over randomized
-topologies.
+:func:`repro.neighborhood.aggregate.sum_series` is correctly rounded:
+the substation's fully-independent profile is the ``math.fsum``-equal
+per-event sum of **all** home series, no matter how homes are grouped
+into feeders or shards — the invariant ``tests/test_grid_invariants.py``
+locks over randomized topologies.
 
 Determinism mirrors the single-feeder plane: feeder ``i`` of a grid
 builds with :func:`feeder_seed`, feeder 0 inheriting the root seed, so
@@ -48,7 +44,6 @@ from repro.analysis.report import format_table
 from repro.neighborhood.aggregate import (
     FeederComparison,
     FeederStats,
-    combine_partials,
     feeder_stats,
     sum_series,
 )
@@ -330,20 +325,19 @@ def execute_grid(grid: GridSpec, jobs: int = 1,
     feeder_mode = "independent" if coordination == "independent" else "feeder"
 
     feeder_results: list[NeighborhoodResult] = []
-    all_partials: list[object] = []
+    n_shards = 0
     for fleet in grid.feeders:
-        result, partials = _run_feeder(
+        result, ran = _run_feeder(
             fleet, horizon, until, jobs, feeder_mode, config, shard_size,
-            shard_executor, first_shard=len(all_partials))
+            shard_executor, first_shard=n_shards)
         feeder_results.append(result)
-        all_partials.extend(partials)
+        n_shards += ran
 
-    # The fully-independent substation profile folds from *all* shard
-    # partials at once: partition-invariant, so any feeder grouping or
-    # shard size yields the exact fsum of every home series.
-    independent_w = combine_partials(
-        all_partials, [home.load_w for result in feeder_results
-                       for home in result.homes], name="substation")
+    # The fully-independent substation profile is the exact fsum of
+    # every home series, whatever the feeder grouping or shard size.
+    independent_w = sum_series(
+        [home.load_w for result in feeder_results for home in result.homes],
+        name="substation")
     substation_plan = None
     if coordination == "independent":
         substation_w = independent_w

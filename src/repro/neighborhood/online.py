@@ -90,7 +90,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.api.spec import ForecastPlan
 from repro.core.system import RunResult
-from repro.neighborhood.aggregate import combine_partials, sum_series
+from repro.neighborhood.aggregate import sum_series
 from repro.neighborhood.coordination import (
     EpochOutcome,
     FeederConfig,
@@ -172,7 +172,6 @@ def coordinate_fleet_online(fleet: "FleetSpec",
                             horizon: float,
                             config: Optional[FeederConfig] = None,
                             forecast: Optional[ForecastConfig] = None,
-                            partials: Optional[Sequence[object]] = None,
                             replan: str = "diff",
                             ) -> OnlineCoordination:
     """Run the online epoch loop over a finished fleet run.
@@ -212,10 +211,7 @@ def coordinate_fleet_online(fleet: "FleetSpec",
     home_ids = [home.home_id for home in fleet.homes]
     profiles = [result.load_w for result in results]
     realized = dict(zip(home_ids, profiles))
-    if partials is not None:
-        independent = combine_partials(partials, profiles)
-    else:
-        independent = sum_series(profiles)
+    independent = sum_series(profiles)
     # Imported here, not at module top: repro.forecast itself imports
     # the coordination module (for envelope shapes), and this package's
     # __init__ pulls us in — a top-level import would cycle whenever

@@ -1,19 +1,17 @@
 """Sharded neighborhood execution: fleets lowered to per-shard sub-specs.
 
 The one fleet execution path.  At N≥500 homes a per-home fan-out would
-cost one dispatch, one result pickle and one parent-side aggregation
-step *per home*; sharding cuts the work so every unit is a contiguous
-**sub-fleet** (a small in-process fleet is a single shard):
+cost one dispatch and one result pickle *per home*; sharding cuts the
+work so every unit is a contiguous **sub-fleet** (a small in-process
+fleet is a single shard):
 
 * :func:`shard_fleet` lowers a :class:`~repro.neighborhood.fleet.FleetSpec`
   into per-shard sub-specs (``<fleet>/shard<i>`` slices) — the
   declarative layer exposes the same lowering as
   :func:`repro.api.compile.compile_shards`;
 * each persistent-pool worker (:func:`_execute_shard`) runs its whole
-  shard and **pre-reduces locally**: the shard's compensated partial
-  feeder sum (:func:`~repro.neighborhood.aggregate.partial_sum`) and the
-  per-home scalar :class:`~repro.analysis.loadstats.LoadStats`, so the
-  parent aggregates S partials instead of N homes;
+  shard and returns only the home results; the parent folds the
+  feeder profile once from the series it keeps anyway;
 * per-home series travel as **one batched frame per shard**
   (:mod:`repro.neighborhood.transport`) instead of N per-home pickles.
 
@@ -21,11 +19,9 @@ Every feeder — a ``neighborhood`` spec or one feeder of a ``grid`` —
 shards here, through :mod:`repro.neighborhood.federation`'s runner.
 Sharding is an execution strategy, never an experiment parameter:
 results are bit-identical for every ``(shard_size, jobs)`` combination
-— the feeder profile is the correctly rounded per-event sum regardless
-of partitioning (see
-:func:`~repro.neighborhood.aggregate.combine_partials`), and home runs
-are independently seeded.  ``tests/test_fleet_sharding.py`` locks the
-invariance by digest.
+— home runs are independently seeded, and the parent folds every
+feeder from the same per-home series in fleet order.
+``tests/test_fleet_sharding.py`` locks the invariance by digest.
 """
 
 from __future__ import annotations
@@ -35,9 +31,7 @@ import traceback
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from repro.analysis.loadstats import LoadStats, load_stats
 from repro.core.system import RunResult, execute_config
-from repro.neighborhood.aggregate import SeriesPartial, partial_sum
 from repro.neighborhood.fleet import FleetSpec
 from repro.neighborhood.transport import FrameUnavailableError, \
     SeriesFrame, pack_series, unpack_series
@@ -60,20 +54,12 @@ class ShardSpec:
     index: int
     fleet: FleetSpec
     until: Optional[float]
-    #: stats window end — per-home :class:`LoadStats` cover ``[0, horizon)``
-    horizon: float
     framed: bool = False
-    #: when set, the worker also pre-reduces each home's
-    #: :func:`~repro.neighborhood.coordination.phase_envelope_window`
-    #: over ``[0, horizon)`` at this (already snapped — see
-    #: ``snap_bin``) bin width, so the parent's coordination plane never
-    #: touches raw per-home series
-    envelope_bin_s: Optional[float] = None
 
 
 @dataclass
 class ShardOutcome:
-    """What one shard worker hands back, pre-reduced.
+    """What one shard worker hands back: its home runs.
 
     ``homes`` ride with their ``load_w`` stripped when ``frame`` is set
     (the series travel batched); :func:`execute_shards` re-attaches the
@@ -83,11 +69,6 @@ class ShardOutcome:
     index: int
     homes: list[RunResult]
     frame: Optional[SeriesFrame]
-    partial: SeriesPartial
-    home_stats: list[LoadStats]
-    #: per-home phase envelopes (shard order) when the spec asked for
-    #: them (:attr:`ShardSpec.envelope_bin_s`), else ``None``
-    envelopes: Optional[list[tuple[float, ...]]] = None
 
 
 def shard_fleet(fleet: FleetSpec, shard_size: int) -> list[FleetSpec]:
@@ -107,9 +88,8 @@ def shard_fleet(fleet: FleetSpec, shard_size: int) -> list[FleetSpec]:
 
 
 def plan_shards(fleet: FleetSpec, until: Optional[float] = None,
-                shard_size: Optional[int] = None, jobs: int = 1,
-                envelope_bin_s: Optional[float] = None,
-                horizon: Optional[float] = None) -> list[ShardSpec]:
+                shard_size: Optional[int] = None,
+                jobs: int = 1) -> list[ShardSpec]:
     """Decide the shard layout for one fleet run.
 
     ``shard_size=None`` sizes shards automatically: in process
@@ -118,18 +98,6 @@ def plan_shards(fleet: FleetSpec, until: Optional[float] = None,
     sees several shards (load balancing, same policy as
     :func:`repro.experiments.pool.dispatch_chunksize`).  Any value
     ``>= 1`` is used as given.  Cross-process shards are ``framed``.
-
-    ``envelope_bin_s`` (a bin width already snapped to the horizon —
-    see :func:`repro.neighborhood.coordination.snap_bin`) asks the shard
-    workers to pre-reduce each home's phase envelope locally, so a
-    coordinating parent aggregates S envelope batches instead of
-    touching N raw series; :func:`phase_envelope_window
-    <repro.neighborhood.coordination.phase_envelope_window>` is pure,
-    so the result is bit-identical to computing them parent-side.
-
-    ``horizon`` is the window the shard workers pre-reduce stats and
-    envelopes over (default: ``until``, else the fleet's own horizon);
-    a grid feeder passes the grid's, which may exceed its fleet's.
     """
     size = shard_size
     if size is None:
@@ -140,17 +108,14 @@ def plan_shards(fleet: FleetSpec, until: Optional[float] = None,
             size = max(1, math.ceil(fleet.n_homes
                                     / (jobs * CHUNKS_PER_WORKER)))
     sub_fleets = shard_fleet(fleet, size)
-    if horizon is None:
-        horizon = until if until is not None else fleet.horizon
     framed = jobs > 1 and len(sub_fleets) > 1
     return [ShardSpec(index=index, fleet=sub_fleet, until=until,
-                      horizon=horizon, framed=framed,
-                      envelope_bin_s=envelope_bin_s)
+                      framed=framed)
             for index, sub_fleet in enumerate(sub_fleets)]
 
 
 def _execute_shard(spec: ShardSpec) -> tuple:
-    """Worker body: run every home of the shard, pre-reduce, pack.
+    """Worker body: run every home of the shard, pack the series.
 
     Module-level and returning ``(status, name, payload)`` triples for
     the same reasons as
@@ -167,41 +132,22 @@ def _execute_shard(spec: ShardSpec) -> tuple:
         except Exception:
             return ("err", home.scenario.name, traceback.format_exc())
     try:
-        series = [result.load_w for result in results]
-        partial = partial_sum(series)
-        stats = [load_stats(result.load_w, 0.0, spec.horizon)
-                 for result in results]
-        envelopes = None
-        if spec.envelope_bin_s is not None:
-            from repro.neighborhood.coordination import (
-                phase_envelope_window)
-            envelopes = [phase_envelope_window(one, 0.0, spec.horizon,
-                                               spec.envelope_bin_s)
-                         for one in series]
         frame = None
         if spec.framed:
-            frame = pack_series(series)
+            frame = pack_series([result.load_w for result in results])
             results = [replace(result, load_w=None) for result in results]
         return ("ok", spec.fleet.name,
-                ShardOutcome(index=spec.index, homes=results, frame=frame,
-                             partial=partial, home_stats=stats,
-                             envelopes=envelopes))
+                ShardOutcome(index=spec.index, homes=results, frame=frame))
     except Exception:
         return ("err", spec.fleet.name, traceback.format_exc())
 
 
 def execute_shards(shards: Sequence[ShardSpec], jobs: int = 1,
-                   executor=None,
-                   ) -> tuple[list[RunResult], list[SeriesPartial],
-                              list[LoadStats],
-                              Optional[list[tuple[float, ...]]]]:
-    """Run every shard and fan the pre-reduced pieces back in.
+                   executor=None) -> list[RunResult]:
+    """Run every shard and return the home results in fleet order.
 
-    Returns ``(home_results, shard_partials, home_stats, envelopes)``,
-    all in fleet order; ``envelopes`` is ``None`` unless the shards
-    carried an :attr:`ShardSpec.envelope_bin_s`.  Cross-process shards
-    come back as one frame each; the series are re-attached as
-    zero-copy views before return.
+    Cross-process shards come back as one frame each; the series are
+    re-attached as zero-copy views before return.
 
     ``executor`` swaps the per-shard worker body (default
     :func:`_execute_shard`): a module-level picklable callable with the
@@ -213,13 +159,10 @@ def execute_shards(shards: Sequence[ShardSpec], jobs: int = 1,
     from repro.experiments.runner import WorkerFailure, fan_out
     shards = list(shards)
     if not shards:
-        return [], [], [], None
+        return []
     triples = fan_out(executor if executor is not None else _execute_shard,
                       shards, jobs=jobs)
     homes: list[RunResult] = []
-    partials: list[SeriesPartial] = []
-    home_stats: list[LoadStats] = []
-    envelopes: list[tuple[float, ...]] = []
     for shard, (status, name, payload) in zip(shards, triples):
         if status == "ok" and payload.frame is not None:
             try:
@@ -238,11 +181,5 @@ def execute_shards(shards: Sequence[ShardSpec], jobs: int = 1,
                                                         series)]
         if status == "err":
             raise WorkerFailure(name, payload)
-        outcome: ShardOutcome = payload
-        homes.extend(outcome.homes)
-        partials.append(outcome.partial)
-        home_stats.extend(outcome.home_stats)
-        if outcome.envelopes is not None:
-            envelopes.extend(outcome.envelopes)
-    return homes, partials, home_stats, \
-        envelopes if len(envelopes) == len(homes) and homes else None
+        homes.extend(payload.homes)
+    return homes

@@ -19,8 +19,8 @@ number of them (processes, machines) point at one
 
 Neighborhood jobs additionally **checkpoint per shard**: every shard
 sub-spec has a stable content address
-(:func:`repro.api.compile.shard_sub_hash`), and its pre-reduced outcome
-is stored as it completes — a worker that crashes 80 shards into a
+(:func:`repro.api.compile.shard_sub_hash`), and its outcome (the home
+runs) is stored as it completes — a worker that crashes 80 shards into a
 100-shard fleet loses nothing; the re-leasing worker replays the 80 from
 the artifact store and executes only the remaining 20.  Because shard
 planning is deterministic in ``(fleet, shard_size, jobs)`` and outcomes

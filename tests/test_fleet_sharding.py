@@ -1,7 +1,7 @@
 """Fleet-scale execution: shard invariance, batched transport, partials.
 
-The load-bearing lock of PR 5: sharding, batched frame transport and
-pre-reduced aggregation are *execution strategies*, so every
+The load-bearing lock of PR 5: sharding and batched frame transport
+are *execution strategies*, so every
 ``(shard_size, jobs, coordination)`` combination must produce
 **bit-identical** results — value digests, not approximations.  The
 exact-summation core (`aggregate.table_sums`) is additionally
@@ -322,3 +322,78 @@ def test_grid_bit_identical_across_jobs_and_shard_sizes(
                                  shard_size=shard_size)
             assert grid_value_digest(probe) == reference, \
                 (jobs, shard_size)
+
+
+# -- cross-process golden lock ------------------------------------------------
+#
+# The invariance tests above compare two runs of the same tree, so a
+# change that moved the in-process and the cross-process paths together
+# would pass them.  These digests are absolute: every run below crosses
+# processes (``jobs=2, shard_size=2`` frames each shard), and the sha256
+# covers every home's series, the feeder and independent profiles, the
+# applied offsets and the rendered statistics.
+
+#: sha256 per run kind; see :func:`cross_process_digest`
+CROSS_PROCESS_DIGESTS = {
+    "feeder":
+        "cc4760a6c12cf5e7ddaac86942f97ed1dcb1f7d66a751660f83f4523ba360a98",
+    "online":
+        "e0e877d0ae3ca530a768485ecd73aa4463d7944bc1c9ab4d5854ad039bd9101d",
+    "substation":
+        "c7eaef628665a18a9085ea63a27f016ccd55b3e549e8ed4294e48f0954e4383e",
+}
+
+
+def _update_series(hasher, series):
+    hasher.update(np.asarray(series.times, dtype=float).tobytes())
+    hasher.update(np.asarray(series.values, dtype=float).tobytes())
+
+
+def _update_feeder(hasher, result):
+    """One feeder's homes, offsets and statistics into ``hasher``."""
+    for home in result.homes:
+        _update_series(hasher, home.load_w)
+    plan = result.coordination
+    hasher.update(repr(plan.offsets_s).encode())
+    hasher.update(repr([outcome.offsets_s for outcome
+                        in getattr(plan, "epochs", ())]).encode())
+    hasher.update(repr(result.home_stats()).encode())
+    hasher.update(repr(result.feeder_stats()).encode())
+    hasher.update(repr(result.comparison().rows()).encode())
+
+
+def cross_process_digest(kind, result):
+    """sha256 over one fleet (``feeder``/``online``) or grid run."""
+    hasher = hashlib.sha256()
+    if kind == "substation":
+        for feeder in result.feeders:
+            _update_feeder(hasher, feeder)
+            _update_series(hasher, feeder.feeder_w)
+            _update_series(hasher, feeder.coordination.independent_w)
+        _update_series(hasher, result.substation_w)
+        _update_series(hasher, result.independent_w)
+        hasher.update(repr(result.coordination.offsets_s).encode())
+        hasher.update(repr(result.comparison().rows()).encode())
+    else:
+        _update_feeder(hasher, result)
+        _update_series(hasher, result.feeder_w)
+        _update_series(hasher, result.coordination.independent_w)
+    return hasher.hexdigest()
+
+
+@pytest.mark.parametrize("kind", ["feeder", "online", "substation"])
+def test_cross_process_run_reproduces_golden_digest(kind,
+                                                    close_pools_after):
+    from repro.api.spec import FeederPlan
+    from repro.neighborhood import build_grid, execute_grid
+    if kind == "substation":
+        grid = build_grid([FeederPlan(homes=4)] * 3, seed=1,
+                          cp_fidelity="ideal", horizon=HORIZON)
+        result = execute_grid(grid, jobs=2, coordination="substation",
+                              shard_size=2)
+    else:
+        fleet = build_fleet(6, mix="suburb", seed=1, cp_fidelity="ideal",
+                            horizon=HORIZON)
+        result = execute_fleet(fleet, jobs=2, coordination=kind,
+                               shard_size=2)
+    assert cross_process_digest(kind, result) == CROSS_PROCESS_DIGESTS[kind]

@@ -7,8 +7,9 @@ exactly):
 * **Exactness** — the substation's fully-independent profile is the
   correctly rounded (``math.fsum``-equal) per-event sum of *all* home
   series, and it is bit-identical for any shard size and any grouping
-  of the same homes into feeders (partition invariance of
-  :func:`repro.neighborhood.aggregate.combine_partials`).
+  of the same homes into feeders
+  (:func:`repro.neighborhood.aggregate.sum_series` is correctly
+  rounded).
 * **Conservation** — coordination at either tier moves load, never
   sheds it: per-home and grid-total energy are conserved, and the
   realized-improvement guard means neither tier ever raises the peak
@@ -16,8 +17,8 @@ exactly):
 * **Flat-grid identity** — a single-feeder :class:`GridSpec` reproduces
   the existing ``neighborhood`` kind bit for bit
   (:func:`repro.neighborhood.grid.feeder_seed` of index 0 inherits the
-  root seed), and worker-side envelope pre-reduction can never change a
-  result bit relative to the parent-side computation.
+  root seed), and the shard layout can never change a result bit
+  relative to the serial reference.
 """
 
 import hashlib
@@ -248,8 +249,9 @@ def test_substation_mode_with_one_feeder_equals_feeder_mode():
 @pytest.mark.parametrize("coordination", ["feeder", "substation"])
 def test_envelope_prereduction_never_changes_bits(
         coordination, serial_grid, close_pools_after):
-    """Shard workers pre-reduce per-home envelopes; the serial reference
-    computes them parent-side — both must negotiate identical offsets."""
+    """The sharded run and the serial reference both compute per-home
+    envelopes in the parent from the same series — the shard layout
+    must not move a bit of the negotiated offsets or profiles."""
     grid = small_grid(seed=17)
     sharded = execute_grid(grid, coordination=coordination, shard_size=2)
     assert grid_digest(sharded) == \
